@@ -52,6 +52,9 @@ analysis kernel optimisation targets:
   and p50/p99/p999 latency from concurrent keep-alive asyncio clients
   against real supervised front-ends plus a store daemon, as a short
   scaling curve over front-end counts; see ``bench_serve.py``.
+* ``code``                 — source size: ``src_lines``, the physical
+  line count of ``src/repro/**/*.py`` and ``src/repro/**/*.c`` (lower
+  is better: the same behaviour from less code).
 
 The resulting trajectory lets future PRs compare against every past
 revision; ``make bench-smoke`` runs this plus the pytest-benchmark
@@ -173,7 +176,20 @@ def collect() -> dict:
     metrics["durability"] = _durability_metrics()
     metrics["chaos"] = _chaos_metrics()
     metrics["cluster"] = _cluster_metrics()
+    metrics["code"] = _code_metrics()
     return metrics
+
+
+def _code_metrics() -> dict:
+    """Source size of the package (not a timing: exact and host-free)."""
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    return {
+        "src_lines": sum(
+            len(path.read_bytes().splitlines())
+            for pattern in ("*.py", "*.c")
+            for path in root.rglob(pattern)
+        ),
+    }
 
 
 def _durability_metrics() -> dict:

@@ -333,6 +333,8 @@ def cmd_stored(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro``."""
+    from repro.campaigns.store import FSYNC_MODES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Worst-case NoC latency analysis (DATE'18 IBN reproduction)",
@@ -553,8 +555,7 @@ def main(argv: list[str] | None = None) -> int:
              "(replicated) or after the local append (local)",
     )
     p_cluster.add_argument(
-        "--store-fsync", choices=["none", "batch", "always"],
-        default="none",
+        "--store-fsync", choices=FSYNC_MODES, default="none",
         help="fsync policy of the shard stores",
     )
     p_cluster.add_argument(
@@ -621,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
              "confirmed the record (replicated) or ack locally (local)",
     )
     p_stored.add_argument(
-        "--fsync", choices=["none", "batch", "always"], default="none",
+        "--fsync", choices=FSYNC_MODES, default="none",
         help="fsync policy on the store file",
     )
     p_stored.add_argument(

@@ -11,6 +11,12 @@ final aggregation is byte-identical to an uninterrupted run because
 results are JSON-normalised the moment they are produced — a fresh
 result and a replayed one are the same object either way.
 
+The file itself belongs to a :class:`Log`: the one piece of code that
+appends to, scans, and reads back a results file, checking every record
+it reads against its CRC.  ``ResultStore`` is a ``Log`` plus spec
+pinning and an in-memory mirror; the serving layer's query store and
+store daemon are ``Log`` s too.
+
 :class:`MemoryStore` is the ephemeral variant used when no run
 directory is given (one-shot campaigns, tests).
 """
@@ -20,11 +26,12 @@ from __future__ import annotations
 import base64
 import json
 import os
+import threading
 import time
 import warnings
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.campaigns.spec import jsonable
 
@@ -73,7 +80,9 @@ class FsyncPolicy:
             raise ValueError(f"fsync interval must be >= 0, got {interval_s}")
         self.mode = mode
         self.interval_s = interval_s
-        self._last_sync = 0.0
+        #: ``None`` until the first barrier, which always syncs: the
+        #: monotonic clock may start near zero on a freshly booted host.
+        self._last_sync: float | None = None
 
     def sync(self, fileno: int) -> None:
         """Apply the policy to one freshly-flushed file descriptor."""
@@ -81,7 +90,10 @@ class FsyncPolicy:
             return
         if self.mode == "batch":
             now = time.monotonic()
-            if now - self._last_sync < self.interval_s:
+            if (
+                self._last_sync is not None
+                and now - self._last_sync < self.interval_s
+            ):
                 return
             self._last_sync = now
         os.fsync(fileno)
@@ -146,8 +158,8 @@ def record_crc(job_id: str, normalised: Any) -> int:
 def result_line(job_id: str, normalised: Any) -> str:
     """One store line: the canonical ``{"crc", "job", "result"}`` record.
 
-    Shared by :class:`ResultStore` and the serving layer's
-    offset-indexed query store so their files stay interchangeable.
+    Written only by :meth:`Log.append`, so files of the campaign and
+    serving stores stay interchangeable.
     The ``crc`` field lets readers detect bit-rot inside a record, not
     just a torn tail; legacy lines without it are accepted unverified.
     """
@@ -170,98 +182,204 @@ def verify_record(record: dict) -> bool:
     return stored == record_crc(record.get("job"), record.get("result"))
 
 
-def iter_result_records(
-    path: Path,
-    on_corrupt: Callable[[int, bytes, str], None] | None = None,
-) -> Iterator[tuple[int, dict]]:
-    """Yield ``(byte_offset, record)`` per intact line of a store file.
-
-    Tolerates a torn final line (killed run/server): everything before
-    it is intact, the torn job simply reruns.  A *complete* line that
-    fails to parse, lacks a ``job`` field, or fails its CRC check is
-    corruption rather than a torn write; it is skipped and reported via
-    ``on_corrupt(offset, raw_line, reason)`` when given.
-    """
-    if not path.exists():
-        return
-    with path.open("rb") as handle:
-        offset = 0
-        for raw in handle:
-            line = raw.strip()
-            if line:
-                complete = raw.endswith(b"\n")
-                reason = None
-                record = None
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    reason = "unparseable"
-                else:
-                    if not isinstance(record, dict) or "job" not in record:
-                        reason = "not-a-record"
-                    elif not verify_record(record):
-                        reason = "crc-mismatch"
-                if reason is None:
-                    yield offset, record
-                elif complete and on_corrupt is not None:
-                    # A torn tail (no trailing newline) stays silent:
-                    # it is the normal signature of a killed writer.
-                    on_corrupt(offset, raw, reason)
-            offset += len(raw)
-
-
-def quarantine_record(path: Path, offset: int, raw: bytes, reason: str) -> bool:
-    """Append one corrupt record to ``path``'s ``.corrupt`` sidecar.
-
-    The main store file is never rewritten — the damaged record simply
-    drops out of the index (its hash recomputes and re-appends).  The
-    sidecar keeps the raw bytes (base64) plus offset and reason for
-    forensics.  Deduped by offset so rescans do not re-quarantine;
-    returns True when a new entry was written.
-    """
-    sidecar = path.with_name(path.name + CORRUPT_SUFFIX)
-    if sidecar.exists():
-        for line in sidecar.read_text(encoding="utf-8").splitlines():
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) and entry.get("offset") == offset:
-                return False
-    entry = {
-        "offset": offset,
-        "reason": reason,
-        "raw": base64.b64encode(raw).decode("ascii"),
-    }
-    with sidecar.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return True
-
-
 def quarantined_count(path: Path) -> int:
     """Number of records in ``path``'s ``.corrupt`` sidecar."""
+    return len(_quarantined_offsets(path))
+
+
+def _quarantined_offsets(path: Path) -> set:
+    """Offsets of the records ``path``'s ``.corrupt`` sidecar keeps."""
     sidecar = path.with_name(path.name + CORRUPT_SUFFIX)
     if not sidecar.exists():
-        return 0
-    return sum(
-        1 for line in sidecar.read_text(encoding="utf-8").splitlines() if line
-    )
+        return set()
+    offsets = set()
+    for line in sidecar.read_text(encoding="utf-8").splitlines():
+        try:
+            offsets.add(json.loads(line)["offset"])
+        except (ValueError, TypeError, KeyError):
+            continue
+    return offsets
 
 
-def tail_needs_newline(path: Path) -> bool:
-    """True when the file ends mid-line (torn write).
+class Log:
+    """One append-only results file; the only code that touches it.
 
-    The next append must then start on a fresh line, or the new record
-    would merge with the torn bytes and be lost on the next reload.
+    Appends (:meth:`append`), the start-up :meth:`scan`, point reads at
+    a byte offset (:meth:`read`) and the replication read from an offset
+    (:meth:`read_from`) all live here.  Every read passes each line
+    through one verify-or-quarantine step, so a record that fails to
+    parse, lacks ``job`` or fails its CRC is never returned or shipped:
+
+    * its raw bytes go to a ``.corrupt`` sidecar (base64 + offset +
+      reason, deduped by offset); the file itself is never rewritten;
+    * it counts once per ``Log`` in ``corrupt_records``, whichever read
+      meets it first, and a ``StoreCorruptionWarning`` fires;
+    * the reader treats it as absent, so its job recomputes and
+      re-appends.
+
+    A torn final line (no newline: a killed writer) is not corruption;
+    reads skip it silently and the next append starts on a fresh line.
     """
-    if not path.exists():
-        return False
-    with path.open("rb") as handle:
-        size = handle.seek(0, 2)
-        if not size:
-            return False
-        handle.seek(size - 1)
-        return handle.read(1) != b"\n"
+
+    def __init__(
+        self, path: str | Path, fsync: FsyncPolicy | str | None = None
+    ) -> None:
+        self.path = Path(path)
+        self.fsync = FsyncPolicy.coerce(fsync)
+        self.read_only = False
+        self.write_errors = 0
+        self.corrupt_records = 0
+        #: Offsets found corrupt so far, each counted once.  Guarded by
+        #: its own lock: replication reads run without the owner's.
+        self._corrupt: set[int] = set()
+        self._corrupt_lock = threading.Lock()
+        #: True when the file ends mid-line (set by :meth:`scan`).
+        self._needs_newline = False
+
+    @property
+    def end_offset(self) -> int:
+        """Current byte length of the file: the replication position
+        (a replica caught up to it holds every committed record)."""
+        try:
+            return self.path.stat().st_size
+        except OSError:
+            return 0
+
+    def scan(self) -> Iterator[tuple[int, dict]]:
+        """Yield ``(offset, record)`` per intact record, in file order.
+
+        Exhaust it before the first :meth:`append`: it also notes
+        whether the file ends in a torn line that the append must not
+        merge with.
+        """
+        try:
+            handle = self.path.open("rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            offset = 0
+            for raw in handle:
+                record = self._verify(offset, raw)
+                if record is not None:
+                    yield offset, record
+                offset += len(raw)
+                self._needs_newline = not raw.endswith(b"\n")
+
+    def read(self, offset: int) -> dict | None:
+        """The verified record at ``offset``; ``None`` if it is corrupt."""
+        with self.path.open("rb") as handle:
+            handle.seek(offset)
+            raw = handle.readline()
+        return self._verify(offset, raw)
+
+    def read_from(
+        self, offset: int, limit: int
+    ) -> tuple[list[tuple[int, dict]], int, bool]:
+        """Up to ``limit`` verified records from byte ``offset``.
+
+        Returns ``(records, next_offset, more)``, each record paired
+        with the offset just past it (what a replica acks).  Committed
+        bytes never change, so callers need no lock; the read stops
+        before a line without its newline (a torn tail or an append in
+        flight), and corrupt lines advance the offset with no record.
+        """
+        records: list[tuple[int, dict]] = []
+        try:
+            handle = self.path.open("rb")
+        except OSError:
+            return records, offset, False
+        with handle:
+            handle.seek(offset)
+            while len(records) < limit:
+                raw = handle.readline()
+                if not raw.endswith(b"\n"):
+                    break
+                record = self._verify(offset, raw)
+                offset += len(raw)
+                if record is not None:
+                    records.append((offset, record))
+            more = bool(handle.readline())
+        return records, offset, more
+
+    def append(self, job_id: str, normalised: Any) -> int | None:
+        """Append one record; its byte offset, or ``None`` if read-only.
+
+        Callers serialise their appends.  A failed append (``ENOSPC``,
+        revoked permissions, dying disk) degrades the log to read-only
+        instead of raising: the owner keeps the result in memory, and
+        the warning and counters make the degradation observable.
+        """
+        if self.read_only:
+            return None
+        data = (result_line(job_id, normalised) + "\n").encode("utf-8")
+        try:
+            with self.path.open("ab") as handle:
+                offset = handle.tell()
+                if self._needs_newline:
+                    data = b"\n" + data
+                    offset += 1
+                handle.write(data)
+                handle.flush()
+                self.fsync.sync(handle.fileno())
+        except OSError as exc:
+            self.read_only = True
+            self.write_errors += 1
+            warnings.warn(
+                f"{self.path}: append failed ({exc}); store degraded to "
+                "read-only — results from here on are held in memory only",
+                StoreWriteWarning,
+                stacklevel=3,
+            )
+            return None
+        self._needs_newline = False
+        return offset
+
+    def _verify(self, offset: int, raw: bytes) -> dict | None:
+        """The record in one raw line, or ``None`` (quarantining it when
+        it is a complete line that is not an intact record)."""
+        if not raw.strip():
+            return None
+        try:
+            record = json.loads(raw)
+        except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+            reason = "unparseable"
+        else:
+            if not isinstance(record, dict) or "job" not in record:
+                reason = "not-a-record"
+            elif not verify_record(record):
+                reason = "crc-mismatch"
+            else:
+                return record
+        if raw.endswith(b"\n"):
+            self._quarantine(offset, raw, reason)
+        return None
+
+    def _quarantine(self, offset: int, raw: bytes, reason: str) -> None:
+        """Count one corrupt record and keep its bytes, once per offset."""
+        with self._corrupt_lock:
+            if offset in self._corrupt:
+                return
+            self._corrupt.add(offset)
+            self.corrupt_records += 1
+            sidecar = self.path.with_name(self.path.name + CORRUPT_SUFFIX)
+            entry = {
+                "offset": offset,
+                "reason": reason,
+                "raw": base64.b64encode(raw).decode("ascii"),
+            }
+            try:
+                if offset in _quarantined_offsets(self.path):
+                    return  # kept by an earlier Log on this file
+                with sidecar.open("a", encoding="utf-8") as handle:
+                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            except OSError:
+                pass  # evidence lost; the record is withheld all the same
+        warnings.warn(
+            f"{self.path}: corrupt record at offset {offset} ({reason}); "
+            f"quarantined to {self.path.name}{CORRUPT_SUFFIX}",
+            StoreCorruptionWarning,
+            stacklevel=4,
+        )
 
 
 class MemoryStore:
@@ -302,8 +420,13 @@ class MemoryStore:
         return len(self._results)
 
 
-class ResultStore(MemoryStore):
-    """JSONL-backed store under a run directory; append-only, resumable."""
+class ResultStore(Log, MemoryStore):
+    """JSONL-backed store under a run directory; append-only, resumable.
+
+    A :class:`Log` plus spec pinning (:meth:`prepare`) and an in-memory
+    mirror of every result, which is what :meth:`load` and :meth:`get`
+    answer from.
+    """
 
     persistent = True
 
@@ -312,29 +435,12 @@ class ResultStore(MemoryStore):
         run_dir: str | Path,
         fsync: FsyncPolicy | str | None = None,
     ) -> None:
-        super().__init__()
         self.run_dir = Path(run_dir)
-        self.path = self.run_dir / RESULTS_NAME
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.fsync = FsyncPolicy.coerce(fsync)
-        self.read_only = False
-        self.write_errors = 0
-        self.corrupt_records = 0
+        super().__init__(self.run_dir / RESULTS_NAME, fsync)
         self._results = {
-            record["job"]: record.get("result")
-            for _, record in iter_result_records(self.path, self._quarantine)
+            record["job"]: record.get("result") for _, record in self.scan()
         }
-        self._needs_newline = tail_needs_newline(self.path)
-
-    def _quarantine(self, offset: int, raw: bytes, reason: str) -> None:
-        self.corrupt_records += 1
-        if quarantine_record(self.path, offset, raw, reason):
-            warnings.warn(
-                f"{self.path}: corrupt record at offset {offset} ({reason}); "
-                f"quarantined to {self.path.name}{CORRUPT_SUFFIX}",
-                StoreCorruptionWarning,
-                stacklevel=2,
-            )
 
     def prepare(self, spec: "CampaignSpec") -> None:
         """Pin the run directory to one campaign.
@@ -358,31 +464,13 @@ class ResultStore(MemoryStore):
     def put(self, job_id: str, result: Any) -> Any:
         """Append one result line and mirror it in memory.
 
-        A failed append (``ENOSPC``, permission loss, dying disk) does
-        not crash the campaign mid-run: the store degrades to read-only
-        — results keep flowing through the in-memory mirror so the run
-        finishes, they just will not survive for resume.
+        A failed append does not crash the campaign mid-run: the log
+        degrades to read-only (:meth:`Log.append`) and results keep
+        flowing through the in-memory mirror, so the run finishes —
+        they just will not survive for resume.
         """
         normalised = jsonable(result)
-        if not self.read_only:
-            line = result_line(job_id, normalised)
-            try:
-                with self.path.open("a", encoding="utf-8") as handle:
-                    if self._needs_newline:
-                        handle.write("\n")
-                        self._needs_newline = False
-                    handle.write(line + "\n")
-                    handle.flush()
-                    self.fsync.sync(handle.fileno())
-            except OSError as exc:
-                self.read_only = True
-                self.write_errors += 1
-                warnings.warn(
-                    f"{self.path}: append failed ({exc}); store degraded to "
-                    "read-only — results from here on are in-memory only",
-                    StoreWriteWarning,
-                    stacklevel=2,
-                )
+        self.append(job_id, normalised)
         self._results[job_id] = normalised
         return normalised
 

@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 #: Must match REPRO_KERNELS_ABI in _kernels.c.
-KERNELS_ABI = 1
+KERNELS_ABI = 2
 
 SOURCE = Path(__file__).resolve().with_name("_kernels.c")
 
@@ -101,7 +101,7 @@ def _validate(path: Path) -> ctypes.CDLL:
         raise KernelBuildError(
             f"{path.name}: ABI {found}, expected {KERNELS_ABI}"
         )
-    for symbol in ("repro_solve_rows", "repro_run_levels", "repro_sim_run"):
+    for symbol in ("repro_run_levels", "repro_sim_run"):
         if not hasattr(lib, symbol):
             raise KernelBuildError(f"{path.name}: missing {symbol}")
     return lib

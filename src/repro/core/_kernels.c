@@ -5,11 +5,10 @@
  * construction and the equivalence suites can pin every backend to the
  * scalar oracle:
  *
- *   repro_solve_rows — one priority level's ceiling-recurrence fixed
- *     points for all (scenario, flow) rows of a batch at once; the C
- *     twin of repro.core.batch._solve_rows.  Each row is independent,
- *     so the ~10 numpy kernel launches per shared iteration collapse
- *     into one tight per-row loop.
+ *   repro_run_levels — the batch engine's whole level loop (window
+ *     jitters, downstream terms, ceiling-recurrence fixed points,
+ *     totals, taint, retirement); the C twin of the numpy loop in
+ *     repro.core.batch._run_batch.
  *
  *   repro_sim_run — the wormhole simulator's event loop (arrivals,
  *     credits, wakes, releases, per-link priority arbitration,
@@ -31,7 +30,7 @@
 #include <stdint.h>
 #include <stddef.h>
 
-#define REPRO_KERNELS_ABI 1
+#define REPRO_KERNELS_ABI 2
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -51,63 +50,7 @@ static inline int64_t ceil_div_i64(int64_t a, int64_t b) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Kernel 1: the batched ceiling recurrence (core/batch.py level loop) */
-/* ------------------------------------------------------------------ */
-
-/* Row r's interference pairs are the contiguous run counts[0..r) long
- * prefix-summed into wj/period/cost.  Semantics mirror _solve_rows
- * exactly: unsafe beats convergence beats warm restart beats give-up;
- * converged rows keep the fixed point, overrun rows keep the first
- * iterate beyond their give-up, failed warm attempts replay cold. */
-REPRO_EXPORT void repro_solve_rows(
-    int64_t nrows,
-    const int64_t *start, const uint8_t *warm_active,
-    const int64_t *base, const int64_t *give, const int64_t *cold,
-    const int64_t *wj, const int64_t *period, const int64_t *cost,
-    const int64_t *counts,
-    int64_t safe_response, int64_t max_iterations,
-    int64_t *out_r, uint8_t *out_conv,
-    int64_t *out_iters, uint8_t *out_unsafe)
-{
-    int64_t off = 0;
-    for (int64_t row = 0; row < nrows; row++) {
-        const int64_t cnt = counts[row];
-        const int64_t *wjp = wj + off;
-        const int64_t *tp = period + off;
-        const int64_t *cp = cost + off;
-        off += cnt;
-        int64_t r = start[row];
-        int warm = warm_active[row] != 0;
-        const int64_t b = base[row];
-        const int64_t g = give[row];
-        const int64_t c0 = cold[row];
-        int64_t iters = 0;
-        int64_t res = 0;
-        uint8_t conv = 0, unsafe = 0;
-        for (;;) {
-            iters++;
-            int64_t r_new = b;
-            for (int64_t p = 0; p < cnt; p++) {
-                r_new += ceil_div_i64(r + wjp[p], tp[p]) * cp[p];
-            }
-            const int cv = (r_new == r);
-            int uns = (r_new > safe_response) || (r_new < b);
-            if (iters >= max_iterations && !cv) uns = 1;
-            if (uns) { unsafe = 1; break; }
-            if (cv) { res = r; conv = 1; break; }
-            if (warm && (r_new < r || r_new > g)) { r = c0; warm = 0; continue; }
-            if (r_new > g) { res = r_new; break; }   /* give-up, cold row */
-            r = r_new;
-        }
-        out_r[row] = res;
-        out_conv[row] = conv;
-        out_iters[row] = iters;
-        out_unsafe[row] = unsafe;
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* Kernel 1b: the whole level loop of _run_batch in one call           */
+/* Kernel 1: the whole level loop of _run_batch in one call            */
 /* ------------------------------------------------------------------ */
 
 /* Everything after the batch composition and before materialisation:
@@ -203,8 +146,9 @@ REPRO_EXPORT void repro_run_levels(
                 scr_cost[t] = cost;
             }
 
-            /* Phase B: the fixed point (repro_solve_rows semantics,
-             * with the non-preemptive blocking folded in). */
+            /* Phase B: the fixed point (batch._solve_rows semantics:
+             * unsafe beats convergence beats warm restart beats
+             * give-up), with the non-preemptive blocking folded in. */
             const int64_t blocking = BLK[slot];
             const int64_t cold = C[slot];
             const int64_t base = cold + blocking;

@@ -5,8 +5,6 @@ A *backend* optionally accelerates the hot loops with compiled code:
 * ``run_levels`` — the batch engine's whole level loop (window jitters,
   downstream terms, fixed points, totals, taint, retirement) over the
   level-major slot arrays :func:`repro.core.batch.analyze_batch` builds;
-* ``solve_rows`` — just one level's ceiling-recurrence fixed points,
-  for backends that accelerate the inner loop but not the sweep;
 * ``sim_run`` — the wormhole simulator's event-deque drain over the flat
   :class:`~repro.sim.network.NetworkState` arrays.
 
@@ -50,13 +48,12 @@ DEFAULT_NAME = "numpy"
 class Backend:
     """One named backend; subclasses attach compiled kernels.
 
-    ``solve_rows`` / ``sim_run`` are either ``None`` (use the caller's
+    ``run_levels`` / ``sim_run`` are either ``None`` (use the caller's
     built-in path) or callables with the contracts described on
     :class:`CextBackend`.
     """
 
     name = "base"
-    solve_rows = None
     run_levels = None
     sim_run = None
 
@@ -121,42 +118,10 @@ class CextBackend(Backend):
 
     def _declare(self) -> None:
         lib = self._lib
-        lib.repro_solve_rows.restype = None
-        lib.repro_solve_rows.argtypes = (
-            [c_int64] + [c_void_p] * 9 + [c_int64] * 2 + [c_void_p] * 4
-        )
         lib.repro_run_levels.restype = None
         lib.repro_run_levels.argtypes = [c_void_p] * 34
         lib.repro_sim_run.restype = c_int64
         lib.repro_sim_run.argtypes = [c_void_p] * 47
-
-    # -- kernel: batched ceiling recurrence --------------------------------
-
-    def solve_rows(self, start, warm_active, base, give, cold, wj, period,
-                   cost, counts):
-        """Drop-in for :func:`repro.core.batch._solve_rows` (same contract:
-        byte-identical outputs, same dtypes)."""
-        from repro.core.batch import _MAX_ITERATIONS, _SAFE_RESPONSE
-
-        i64 = lambda a: _np.ascontiguousarray(a, dtype=_np.int64)  # noqa: E731
-        start = i64(start)
-        warm = _np.ascontiguousarray(warm_active, dtype=_np.bool_)
-        base, give, cold = i64(base), i64(give), i64(cold)
-        wj, period, cost, counts = i64(wj), i64(period), i64(cost), i64(counts)
-        n = len(start)
-        out_r = _np.zeros(n, dtype=_np.int64)
-        out_conv = _np.zeros(n, dtype=_np.bool_)
-        out_iters = _np.zeros(n, dtype=_np.int64)
-        out_unsafe = _np.zeros(n, dtype=_np.bool_)
-        self._lib.repro_solve_rows(
-            n, start.ctypes.data, warm.ctypes.data, base.ctypes.data,
-            give.ctypes.data, cold.ctypes.data, wj.ctypes.data,
-            period.ctypes.data, cost.ctypes.data, counts.ctypes.data,
-            _SAFE_RESPONSE, _MAX_ITERATIONS,
-            out_r.ctypes.data, out_conv.ctypes.data, out_iters.ctypes.data,
-            out_unsafe.ctypes.data,
-        )
-        return out_r, out_conv, out_iters, out_unsafe
 
     # -- kernel: the whole level loop --------------------------------------
 
@@ -453,7 +418,7 @@ def backend_infos() -> list[dict]:
                 "active": backend is active,
                 "detail": backend.detail(),
                 "kernels": sorted(
-                    k for k in ("solve_rows", "run_levels", "sim_run")
+                    k for k in ("run_levels", "sim_run")
                     if getattr(backend, k, None) is not None
                 ),
             }

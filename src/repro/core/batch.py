@@ -710,11 +710,9 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     any_warm = bool(WARM.any())
     any_retired = False
     # The backend seam: a compiled backend may take the whole level
-    # loop (run_levels) or just the fixed-point inner loop (solve_rows);
-    # either way the contract is byte-identical dynamic state.  numpy
-    # keeps the in-module implementations.
+    # loop (run_levels) under a byte-identical dynamic-state contract;
+    # numpy keeps the in-module implementation.
     kernel = _backend.get_backend()
-    solve = kernel.solve_rows or _solve_rows
     if kernel.run_levels is not None:
         kernel.run_levels(
             max_f=max_f, early_exit=early_exit,
@@ -826,7 +824,7 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         else:
             warm_ok = _np.zeros(len(slots), dtype=bool)
             start = cold
-        r_fin, conv_fin, iters, unsafe = solve(
+        r_fin, conv_fin, iters, unsafe = _solve_rows(
             start, warm_ok, base, give, cold, wj, T[pj], iter_cost, counts
         )
         iterations[scns] += iters

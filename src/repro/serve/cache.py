@@ -2,13 +2,15 @@
 
 Two pieces, composed by :class:`~repro.serve.service.AnalysisService`:
 
-* :class:`JsonlQueryStore` — the persistent tier (``--run-dir``).  Same
-  append-only ``{"job": <hash>, "result": ...}`` JSONL format as the
-  campaign :class:`~repro.campaigns.store.ResultStore` (files written
-  by either are interchangeable), but it keeps only a *byte-offset
-  index* in memory and reads results back from disk on demand — a
+* :class:`JsonlQueryStore` — the persistent tier (``--run-dir``).  A
+  :class:`~repro.campaigns.store.Log`, so its file is the campaign
+  store's format (files written by either are interchangeable), plus a
+  *byte-offset index*: results are read back from disk on demand, so a
   long-running server accumulating millions of distinct query results
-  holds ~100 bytes per entry, not the results themselves.
+  holds ~100 bytes per entry, not the results themselves.  Every read
+  is CRC-verified: a record that rotted on disk after it was indexed
+  is quarantined and dropped from the index, and the lookup answers a
+  miss, so the job recomputes and re-appends.
 * :class:`ServeCache` — a bounded in-memory LRU in front of an optional
   store.  Results are keyed by the campaign engine's sha256 content
   address (:func:`repro.campaigns.spec.job_hash`).
@@ -23,39 +25,26 @@ end-to-end tests.  Both classes are thread-safe: the service calls
 
 from __future__ import annotations
 
-import json
 import threading
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
 from repro.campaigns.spec import jsonable
-from repro.campaigns.store import (
-    CORRUPT_SUFFIX,
-    FsyncPolicy,
-    MemoryStore,
-    StoreCorruptionWarning,
-    StoreWriteWarning,
-    iter_result_records,
-    quarantine_record,
-    result_line,
-    tail_needs_newline,
-)
+from repro.campaigns.store import RESULTS_NAME, FsyncPolicy, Log, MemoryStore
 
 _MISS = object()
 
 
-class JsonlQueryStore:
-    """Append-only JSONL store holding only an offset index in memory.
+class JsonlQueryStore(Log):
+    """A :class:`Log` holding only an offset index in memory.
 
     Implements the subset of the :class:`MemoryStore` interface the
-    serving cache needs (``get`` / ``put`` / ``in`` / ``len``).  A torn
-    final line (killed server) is skipped on reload, exactly like the
-    campaign store; its job simply recomputes.  A *corrupt* record
-    (CRC mismatch, unparseable complete line) is quarantined into a
-    ``.corrupt`` sidecar and dropped from the index, so only the
-    damaged hashes recompute.
+    serving cache needs (``get`` / ``put`` / ``in`` / ``len``) plus the
+    store daemon's deduplicating :meth:`put_if_absent`.  Results
+    accepted while the log is read-only (a failed append) live in an
+    in-memory overlay, which keeps the server answering even when the
+    disk under it is full.
     """
 
     persistent = True
@@ -67,105 +56,48 @@ class JsonlQueryStore:
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / "results.jsonl"
-        self.fsync = FsyncPolicy.coerce(fsync)
-        self.read_only = False
-        self.write_errors = 0
-        self.corrupt_records = 0
+        super().__init__(self.directory / RESULTS_NAME, fsync)
         self._lock = threading.Lock()
-        #: job hash -> byte offset of its line in ``path``.
-        self._index: dict[str, int] = {}
-        #: job hash -> result, for entries accepted while read-only
-        #: (disk append failed) — keeps the server answering even when
-        #: the disk under it is full.
+        #: job hash -> byte offset of its latest line in ``path``.
+        self._index: dict[str, int] = {
+            record["job"]: offset for offset, record in self.scan()
+        }
+        #: job hash -> result, for entries accepted while read-only.
         self._overlay: dict[str, Any] = {}
-        #: True when the file ends in a torn line (killed mid-write):
-        #: the next append must start on a fresh line or it would merge
-        #: with the torn bytes and be lost on the following reload.
-        self._needs_newline = False
-        self._scan()
 
-    def _scan(self) -> None:
-        """Build the offset index from the existing file, if any."""
-        for offset, record in iter_result_records(self.path, self._quarantine):
-            self._index[record["job"]] = offset
-        self._needs_newline = tail_needs_newline(self.path)
+    def _lookup_locked(self, job_id: str) -> Any:
+        """The stored result or ``_MISS``; caller holds ``_lock``.
 
-    def _quarantine(self, offset: int, raw: bytes, reason: str) -> None:
-        self.corrupt_records += 1
-        if quarantine_record(self.path, offset, raw, reason):
-            warnings.warn(
-                f"{self.path}: corrupt record at offset {offset} ({reason}); "
-                f"quarantined to {self.path.name}{CORRUPT_SUFFIX}",
-                StoreCorruptionWarning,
-                stacklevel=2,
-            )
-
-    @property
-    def end_offset(self) -> int:
-        """Current byte length of the store file (the replication log
-        position: a replica caught up to ``end_offset`` has every
-        committed record)."""
-        try:
-            return self.path.stat().st_size
-        except OSError:
-            return 0
-
-    def _append_locked(self, job_id: str, line: str) -> None:
-        """Append one pre-rendered line while holding ``_lock``.
-
-        On ``OSError`` (``ENOSPC``, revoked permissions, dying disk)
-        the store degrades to read-only instead of crashing the server:
-        later results land in an in-memory overlay and the structured
-        warning + ``/stats`` counters make the degradation observable.
+        A record that fails verification is dropped from the index
+        (the :class:`Log` has quarantined it), so the job reads as
+        absent and its next put appends a fresh copy.
         """
-        try:
-            with self.path.open("a", encoding="utf-8") as handle:
-                offset = handle.tell()
-                if self._needs_newline:
-                    handle.write("\n")
-                    offset += 1
-                    self._needs_newline = False
-                handle.write(line + "\n")
-                handle.flush()
-                self.fsync.sync(handle.fileno())
-        except OSError as exc:
-            self.read_only = True
-            self.write_errors += 1
-            warnings.warn(
-                f"{self.path}: append failed ({exc}); store degraded to "
-                "read-only — new results held in memory only",
-                StoreWriteWarning,
-                stacklevel=3,
-            )
+        offset = self._index.get(job_id)
+        if offset is not None:
+            record = self.read(offset)
+            if record is not None:
+                return record.get("result")
+            del self._index[job_id]
+        return self._overlay.get(job_id, _MISS)
+
+    def _append_locked(self, job_id: str, normalised: Any) -> None:
+        offset = self.append(job_id, normalised)
+        if offset is None:  # read-only: serve it from memory
+            self._overlay[job_id] = normalised
         else:
             self._index[job_id] = offset
 
     def get(self, job_id: str, default: Any = None) -> Any:
         """One stored result, read back from disk by offset."""
         with self._lock:
-            offset = self._index.get(job_id)
-            if offset is None:
-                if job_id in self._overlay:
-                    return self._overlay[job_id]
-                return default
-            with self.path.open("rb") as handle:
-                handle.seek(offset)
-                line = handle.readline()
-        record = json.loads(line)
-        return record.get("result")
+            value = self._lookup_locked(job_id)
+        return default if value is _MISS else value
 
     def put(self, job_id: str, result: Any) -> Any:
         """Append one result line; returns the normalised result."""
         normalised = jsonable(result)
-        line = result_line(job_id, normalised)
         with self._lock:
-            if self.read_only:
-                self._overlay[job_id] = normalised
-            else:
-                self._append_locked(job_id, line)
-                if self.read_only:  # the append just failed
-                    self._overlay[job_id] = normalised
+            self._append_locked(job_id, normalised)
         return normalised
 
     def put_if_absent(self, job_id: str, result: Any) -> tuple[Any, bool]:
@@ -175,20 +107,16 @@ class JsonlQueryStore:
         so a second ``put`` of the same content address can only be a
         recomputation of the same bytes — skipping the append keeps the
         store at exactly one line per distinct hash even when several
-        front-ends race on the same job.
+        front-ends race on the same job.  A hash whose record failed
+        verification counts as new.
         """
         with self._lock:
-            if job_id not in self._index and job_id not in self._overlay:
-                normalised = jsonable(result)
-                if self.read_only:
-                    self._overlay[job_id] = normalised
-                    return normalised, True
-                line = result_line(job_id, normalised)
-                self._append_locked(job_id, line)
-                if self.read_only:  # the append just failed
-                    self._overlay[job_id] = normalised
-                return normalised, True
-        return self.get(job_id), False
+            value = self._lookup_locked(job_id)
+            if value is not _MISS:
+                return value, False
+            normalised = jsonable(result)
+            self._append_locked(job_id, normalised)
+        return normalised, True
 
     def durability_stats(self) -> dict:
         """Store-level durability counters for ``GET /stats``."""

@@ -61,6 +61,7 @@ from repro.campaigns.engine import run_campaign
 from repro.campaigns.progress import ProgressEvent
 from repro.campaigns.scheduler import RunStats
 from repro.campaigns.spec import CampaignSpec, job_hash, jsonable
+from repro.campaigns.store import FSYNC_MODES
 from repro.serve import jobs
 from repro.serve.cache import JsonlQueryStore, ServeCache
 from repro.serve.http import HttpError, HttpRequest
@@ -192,9 +193,9 @@ class ServeConfig:
                     raise ValueError(
                         f"store address must be 'host:port', got {addr!r}"
                     )
-        if self.store_fsync not in ("none", "batch", "always"):
+        if self.store_fsync not in FSYNC_MODES:
             raise ValueError(
-                "store_fsync must be 'none', 'batch' or 'always', "
+                f"store_fsync must be one of {', '.join(FSYNC_MODES)}, "
                 f"got {self.store_fsync!r}"
             )
         if self.max_inflight < 0:

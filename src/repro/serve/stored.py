@@ -11,8 +11,13 @@ a job computed by any front-end is a cache hit for all of them.
   present is not appended again (results are deterministic, so the
   second write can only be a byte-identical recomputation) — which is
   what makes "each distinct hash computed once" checkable by grepping
-  the store file.  Restarts recover from torn final lines exactly like
-  the campaign store (the scan skips them; the torn job recomputes).
+  the store file.  The daemon never touches that file itself: ``get``,
+  ``put`` and replication all go through the store's
+  :class:`~repro.campaigns.store.Log`, whose reads verify every record
+  — a record failing its CRC answers ``get`` with a miss (the job
+  recomputes and is re-put) and is skipped by ``sync``/``stream``, so
+  it is never shipped to a replica.  Restarts recover from torn final
+  lines exactly like the campaign store.
 * :class:`StoreClient` — one blocking connection to one daemon, with
   transparent reconnect-once per request.
 * :class:`RemoteStore` — the object front-ends plug into
@@ -37,7 +42,7 @@ The protocol is JSON documents framed by a 4-byte big-endian length::
         subscriber answers each with {"op": "ack", "offset": N'}
     {"op": "promote"}                          -> {"ok": true, "generation": G}
 
-**Replication** (PR 10): a daemon started with ``replica_of`` runs as a
+**Replication**: a daemon started with ``replica_of`` runs as a
 *backup* — it tails the primary's append-only log over ``stream``,
 resuming from its persisted ``(log_id, byte offset)`` position, applies
 each record through the same deduplicating ``put_if_absent``, and acks.
@@ -186,10 +191,20 @@ class HashRing:
 # daemon
 
 
+def _shipped(end_offset: int, record: dict) -> dict:
+    """A verified log record as replication ships it (``sync``/``rep``)."""
+    return {
+        "job": record["job"],
+        "result": record.get("result"),
+        "offset": end_offset,
+    }
+
+
 class StoreDaemon:
     """Thread-per-connection server over one :class:`JsonlQueryStore`.
 
-    Torn-write recovery is inherited from the store: a daemon killed
+    Torn-write recovery and record verification are inherited from the
+    store's :class:`~repro.campaigns.store.Log`: a daemon killed
     mid-append leaves a torn final line that the restart scan skips
     (its job recomputes and is re-put), and the next append starts on
     a fresh line.  ``put`` deduplicates by job hash, so recomputations
@@ -488,11 +503,11 @@ class StoreDaemon:
             # One-shot catch-up batch: the poll-based sibling of
             # ``stream``, used by tools and tests.
             offset = self._resume_offset(request)
-            records, next_offset, more = self._read_log(offset, limit=256)
+            records, next_offset, more = self.store.read_from(offset, 256)
             return {
                 "ok": True,
                 "log_id": self.log_id,
-                "records": records,
+                "records": [_shipped(end, rec) for end, rec in records],
                 "offset": next_offset,
                 "more": more,
             }
@@ -552,44 +567,6 @@ class StoreDaemon:
         ):
             return offset
         return 0
-
-    def _read_log(
-        self, offset: int, limit: int
-    ) -> tuple[list[dict], int, bool]:
-        """Up to ``limit`` committed records from byte ``offset``.
-
-        Returns ``(records, next_offset, more)``.  Reads the
-        append-only file directly — committed bytes never change, so no
-        lock is needed.  Corrupt or blank lines advance the offset
-        without producing a record (the primary's own rescan
-        quarantines them; a replica simply never sees them).
-        """
-        records: list[dict] = []
-        try:
-            handle = self.store.path.open("rb")
-        except OSError:
-            return records, offset, False
-        with handle:
-            handle.seek(offset)
-            while len(records) < limit:
-                raw = handle.readline()
-                if not raw.endswith(b"\n"):
-                    break  # torn tail or EOF: stop before it
-                line = raw.strip()
-                if line:
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        record = None
-                    if isinstance(record, dict) and "job" in record:
-                        records.append({
-                            "job": record["job"],
-                            "result": record.get("result"),
-                            "offset": offset + len(raw),
-                        })
-                offset += len(raw)
-            more = bool(handle.readline())
-        return records, offset, more
 
     def _handle_stream(self, conn: socket.socket, request: dict) -> None:
         """Serve one replication subscriber until it disconnects.
@@ -652,13 +629,13 @@ class StoreDaemon:
     ) -> None:
         try:
             while not (stop.is_set() or self._stopping.is_set()):
-                records, offset, _more = self._read_log(offset, limit=256)
+                records, offset, _more = self.store.read_from(offset, 256)
                 if not records:
                     with self._log_cond:
                         self._log_cond.wait(timeout=0.5)
                     continue
-                for record in records:
-                    write_frame(conn, {"op": "rep", **record})
+                for end, record in records:
+                    write_frame(conn, {"op": "rep", **_shipped(end, record)})
         except OSError:
             pass  # subscriber went away; the ack reader cleans up
 

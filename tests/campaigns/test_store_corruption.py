@@ -19,6 +19,9 @@ contract under test, for both JSONL stores:
 
 import base64
 import json
+import sys
+import threading
+import time
 import warnings
 
 import pytest
@@ -133,6 +136,19 @@ class TestResultStoreCorruption:
         }
         assert reasons == {"unparseable", "not-a-record"}
 
+    def test_high_bit_flip_is_quarantined_not_fatal(self, tmp_path):
+        store = ResultStore(tmp_path / "run")
+        for i in range(3):
+            store.put(f"j{i}", {"v": i})
+        data = bytearray(store.path.read_bytes())
+        data[data.index(b'"j1"') + 1] |= 0x80  # no longer valid UTF-8
+        store.path.write_bytes(bytes(data))
+
+        with pytest.warns(StoreCorruptionWarning, match="unparseable"):
+            reopened = ResultStore(tmp_path / "run")
+        assert reopened.load() == {"j0": {"v": 0}, "j2": {"v": 2}}
+        assert reopened.corrupt_records == 1
+
     def test_truncation_is_a_torn_tail_not_corruption(self, tmp_path):
         store = ResultStore(tmp_path / "run")
         store.put("j1", {"v": 1})
@@ -206,6 +222,78 @@ class TestQueryStoreCorruption:
         assert {f"q{i}": healed.get(f"q{i}") for i in range(5)} == {
             f"q{i}": {"answer": i} for i in range(5)
         }
+
+    def test_bitflip_under_an_open_store_reads_as_a_miss(self, tmp_path):
+        store = JsonlQueryStore(tmp_path / "queries")
+        for i in range(3):
+            store.put(f"q{i}", {"answer": i})
+        flip_digit(store.path, 1)  # after the start-up scan indexed it
+
+        with pytest.warns(StoreCorruptionWarning, match="crc-mismatch"):
+            assert store.get("q1", "miss") == "miss"
+        assert "q1" not in store  # dropped from the offset index
+        assert store.get("q1", "miss") == "miss"
+        assert store.get("q0") == {"answer": 0}
+        assert store.get("q2") == {"answer": 2}
+        # Counted and kept once, however often the record is met.
+        assert store.durability_stats()["corrupt_records"] == 1
+        assert quarantined_count(store.path) == 1
+
+        store.put("q1", {"answer": 1})  # the recomputation heals it
+        assert store.get("q1") == {"answer": 1}
+
+    def test_concurrent_reads_count_each_damaged_record_once(self, tmp_path):
+        store = JsonlQueryStore(tmp_path / "queries")
+        for i in range(20):
+            store.put(f"q{i}", {"answer": 100 + i})
+        damaged = sorted(flip_digit(store.path, i)[0] for i in (3, 7, 11))
+
+        class YieldingSet(set):
+            """Gives up the GIL between the seen-before check and its
+            answer, so an unguarded check-then-count lets readers race."""
+
+            def __contains__(self, offset):
+                seen = super().__contains__(offset)
+                time.sleep(0.001)
+                return seen
+
+        store._corrupt = YieldingSet()
+        errors = []
+
+        def reader(n):
+            try:
+                for round_ in range(30):
+                    store.read_from(0, 64)  # the replication path
+                    store.get(f"q{(n + round_) % 20}")  # the lookup path
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def writer():
+            for i in range(20, 60):
+                store.put(f"q{i}", {"answer": 100 + i})
+
+        threads = [threading.Thread(target=reader, args=(n,))
+                   for n in range(6)] + [threading.Thread(target=writer)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StoreCorruptionWarning)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.corrupt_records == len(damaged)
+        sidecar = store.path.with_name(store.path.name + CORRUPT_SUFFIX)
+        assert sorted(
+            json.loads(line)["offset"]
+            for line in sidecar.read_text().splitlines()
+        ) == damaged
+        assert len(store) == 60 - len(damaged)
 
     def test_failed_append_serves_from_overlay(self, tmp_path):
         store = JsonlQueryStore(tmp_path / "queries")

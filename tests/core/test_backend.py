@@ -1,21 +1,17 @@
-"""The backend seam: registry, selection, fallback, and kernel parity.
+"""The backend seam: registry, selection, and fallback.
 
 The seam's safety story is that picking a backend can never change a
 result — unknown or broken backends degrade to numpy with one warning
 and byte-identical output.  These tests exercise the registry and
 selection order (explicit call > ``REPRO_BACKEND`` > default), the
 broken-extension fallback path with a deliberately failing loader, the
-``repro backend`` CLI diagnostic, the serve config validation, the
-tiny-round threshold tunable, and a direct fuzz of the C ``solve_rows``
-kernel against its numpy oracle.
+``repro backend`` CLI diagnostic, the serve config validation, and the
+tiny-round threshold tunable.
 """
 
 import warnings
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import backend as backend_mod
 from repro.core.backend import (
@@ -33,7 +29,6 @@ from repro.core.backend import (
 )
 from repro.core.batch import (
     Scenario,
-    _solve_rows,
     analyze_batch,
     min_batch_flows,
 )
@@ -84,7 +79,6 @@ class TestRegistry:
     def test_numpy_always_available_with_no_kernels(self):
         assert "numpy" in available_backend_names()
         numpy_backend = backend_mod._REGISTRY["numpy"]
-        assert numpy_backend.solve_rows is None
         assert numpy_backend.run_levels is None
         assert numpy_backend.sim_run is None
 
@@ -213,36 +207,3 @@ class TestCli:
 
         with pytest.raises(ValueError, match="backend"):
             ServeConfig(port=0, workers=0, backend="bogus")
-
-
-class TestCextKernelParity:
-    """Direct fuzz of the compiled row solver against the numpy oracle."""
-
-    @pytest.fixture(autouse=True)
-    def _need_cext(self):
-        if "cext" not in available_backend_names():
-            pytest.skip("C extension unavailable")
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 12))
-    def test_solve_rows_matches_numpy(self, seed, nrows):
-        rng = np.random.default_rng(seed)
-        counts = rng.integers(0, 5, size=nrows).astype(np.int64)
-        npairs = int(counts.sum())
-        base = rng.integers(1, 50, size=nrows).astype(np.int64)
-        give = base + rng.integers(0, 500, size=nrows).astype(np.int64)
-        cold = base.copy()
-        warm = rng.random(nrows) < 0.5
-        start = np.where(
-            warm, base + rng.integers(0, 100, size=nrows), base
-        ).astype(np.int64)
-        wj = rng.integers(0, 100, size=npairs).astype(np.int64)
-        period = rng.integers(1, 200, size=npairs).astype(np.int64)
-        cost = rng.integers(0, 40, size=npairs).astype(np.int64)
-
-        args = (start, warm, base, give, cold, wj, period, cost, counts)
-        expected = _solve_rows(*(a.copy() for a in args))
-        cext = backend_mod._REGISTRY["cext"]
-        got = cext.solve_rows(*(a.copy() for a in args))
-        for exp, out in zip(expected, got):
-            np.testing.assert_array_equal(np.asarray(exp), np.asarray(out))

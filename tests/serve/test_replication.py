@@ -20,6 +20,8 @@ import time
 
 import pytest
 
+from repro.campaigns.store import StoreCorruptionWarning
+from repro.serve.cache import JsonlQueryStore
 from repro.serve.stored import (
     RemoteStore,
     StoreClient,
@@ -52,6 +54,14 @@ def make_pair(tmp_path, **primary_kwargs):
 
 def caught_up(primary, backup):
     return backup.store.end_offset >= primary.store.end_offset
+
+
+def flip_bound(path, old, new):
+    """Rewrite one stored bound in place: same length, still valid
+    JSON, so only the record's CRC can tell."""
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
 
 
 @pytest.fixture
@@ -115,6 +125,40 @@ class TestBackupTailing:
             client.close()
             primary.stop()
 
+    def test_corrupt_record_is_never_shipped(self, tmp_path):
+        seed = JsonlQueryStore(tmp_path / "primary")
+        for i in range(3):
+            seed.put(f"j{i}", {"bound": 348 + i})
+        flip_bound(seed.path, b'"bound":349', b'"bound":359')
+        with pytest.warns(StoreCorruptionWarning, match="crc-mismatch"):
+            primary = StoreDaemon(tmp_path / "primary").start()
+        client = StoreClient(f"{primary.host}:{primary.port}")
+        backup = None
+        try:
+            synced = client.request({"op": "sync", "offset": 0})
+            assert [r["job"] for r in synced["records"]] == ["j0", "j2"]
+            assert synced["offset"] == primary.store.end_offset
+
+            backup = StoreDaemon(
+                tmp_path / "backup",
+                replica_of=f"{primary.host}:{primary.port}",
+            ).start()
+            wait_for(lambda: backup.store.get("j2") == {"bound": 350})
+            assert backup.store.get("j1") is None
+            # The backup's resync from zero met the quarantined record
+            # again; the primary counted it once, at its start-up scan.
+            assert primary.store.corrupt_records == 1
+
+            client.request(
+                {"op": "put", "job": "j1", "result": {"bound": 349}}
+            )
+            wait_for(lambda: backup.store.get("j1") == {"bound": 349})
+        finally:
+            client.close()
+            if backup is not None:
+                backup.stop()
+            primary.stop()
+
     def test_new_log_identity_triggers_full_resync(self, tmp_path):
         primary, backup = make_pair(tmp_path)
         client = StoreClient(f"{primary.host}:{primary.port}")
@@ -170,6 +214,26 @@ class TestSyncOp:
                 "offset": first["offset"],
             })
             assert [r["job"] for r in resumed["records"]] == ["j5", "j6"]
+            client.close()
+
+    def test_record_rotting_while_open_is_skipped(self, tmp_path):
+        with StoreDaemon(tmp_path / "s") as daemon:
+            client = StoreClient(f"{daemon.host}:{daemon.port}")
+            for i in range(3):
+                client.request(
+                    {"op": "put", "job": f"j{i}", "result": 348 + i}
+                )
+            flip_bound(daemon.store.path, b'"result":349', b'"result":359')
+            with pytest.warns(StoreCorruptionWarning, match="crc-mismatch"):
+                reply = client.request({"op": "sync", "offset": 0})
+            assert [r["job"] for r in reply["records"]] == ["j0", "j2"]
+            # The get path meets the same record: a miss, not a recount.
+            assert client.request({"op": "get", "job": "j1"}) == \
+                {"ok": True, "found": False}
+            assert daemon.store.corrupt_records == 1
+            put = client.request({"op": "put", "job": "j1", "result": 349})
+            assert put["stored"] is True
+            assert client.request({"op": "get", "job": "j1"})["result"] == 349
             client.close()
 
     def test_wrong_log_id_restarts_from_zero(self, tmp_path):

@@ -67,6 +67,8 @@ TRACKED = (
     ("durability.failover_time_s", "lower"),
     ("chaos.scenarios_passed", "higher"),
     ("cluster.best_rps", "higher"),
+    # Speed-independent: physical lines under src/repro (.py and .c).
+    ("code.src_lines", "lower"),
 )
 
 #: Wall-clock values smaller than these floors are all scheduler noise;
