@@ -10,6 +10,9 @@ they all run on:
   ``python -m repro campaign spec.json``, plus content-addressed jobs;
 * :mod:`repro.campaigns.scheduler` — deterministic job expansion fanned
   out over one shared process pool with worker-local platform reuse;
+* :mod:`repro.campaigns.pool` — the self-healing process pool
+  (:class:`~repro.campaigns.pool.ResilientPool`) under the scheduler
+  and the serving tier;
 * :mod:`repro.campaigns.store` — a JSONL :class:`ResultStore` keyed by
   stable job hashes, making every campaign resumable;
 * :mod:`repro.campaigns.export` — shared ``text`` / ``csv`` / ``json``

@@ -1,11 +1,10 @@
 """A supervised process pool that survives its workers.
 
-``repro serve`` shares one process pool between every request and every
-submitted campaign, so a single worker death (an OOM-killed numpy
-worker, a segfault) must not poison the whole server: a plain
-``ProcessPoolExecutor`` goes permanently broken and every future ever
-submitted to it — including queued coalesced requests that were never
-near the dead worker — fails with ``BrokenProcessPool``.
+This is the one place worker processes are created, killed and rebuilt.
+A plain ``ProcessPoolExecutor`` goes permanently broken when a single
+worker dies (an OOM-killed numpy worker, a segfault): every future ever
+submitted to it — including queued work that was never near the dead
+worker — fails with ``BrokenProcessPool``.
 
 :class:`ResilientPool` wraps the executor with a supervisor:
 
@@ -20,9 +19,13 @@ near the dead worker — fails with ``BrokenProcessPool``.
   service uses for 503/Retry-After backpressure while fresh workers
   warm up.
 
-The wrapper *is* a :class:`concurrent.futures.Executor`, so it drops
-into ``loop.run_in_executor`` and the campaign scheduler's injected
-``pool`` unchanged.
+Two owners use it.  ``repro serve`` shares one pool (three resubmits,
+a cooldown) between every request and every submitted campaign.  The
+campaign :class:`~repro.campaigns.scheduler.Scheduler` runs each owned
+pool with ``max_resubmits=0``: the pool only rebuilds itself and hands
+every break straight back, because the scheduler decides which block
+to blame.  The wrapper *is* a :class:`concurrent.futures.Executor`, so
+it also drops into ``loop.run_in_executor`` unchanged.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ collapsed into one code path.  It takes the deterministic job list a
 spec expands to, drops every job whose content address is already in
 the result store (resume), deduplicates identical jobs within the run
 (two x-axis points with the same parameters share one computation), and
-fans the remainder out over a single :class:`ProcessPoolExecutor` —
-emitting one :class:`~repro.campaigns.progress.ProgressEvent` per
-completion.
+fans the remainder out over a single worker pool — emitting one
+:class:`~repro.campaigns.progress.ProgressEvent` per completion.
 
 Jobs ship in same-kind **blocks** — one pickle each way per block
 instead of per job — and kinds with a registered block executor
@@ -15,10 +14,9 @@ instead of per job — and kinds with a registered block executor
 scenarios through the columnar kernel in the worker; serial runs use
 cap-sized blocks for maximal batching.  Worker processes resolve
 executors through the registry and reuse process-local platforms via
-:func:`worker_platform` (the pattern pioneered by
-``schedulability_sweep._worker_platform``): one topology — and with it
-one memoized route table — per (mesh, routing) for the lifetime of the
-worker, whatever mix of campaigns flows through the pool.
+:func:`worker_platform`: one topology — and with it one memoized route
+table — per (mesh, routing) for the lifetime of the worker, whatever
+mix of campaigns flows through the pool.
 
 Determinism: results are keyed by content address and aggregation folds
 them in job-list order, so worker counts, chunk completion order and
@@ -31,19 +29,22 @@ failed singletons retry with exponential backoff up to
 ``policy.retries`` times, then **quarantine** — a structured
 ``repro-error/1`` document (:func:`repro.campaigns.store.error_result`)
 is stored in the job's slot and the campaign continues without it.
-When the scheduler owns its pool it also *self-heals*: a
-``BrokenProcessPool`` (a worker OOM-killed or crashed) rebuilds the
-pool and resubmits the in-flight blocks — safe because jobs are
-content-addressed and deterministic, so a resubmitted job writes the
-byte-identical result line it would have written the first time.
-Because one dead worker fails *every* in-flight future, the culprit is
-ambiguous whenever several blocks were in flight; those blocks drain
-through a serial **probe** queue (one block in flight at a time) where
-the next break unambiguously convicts the block it killed.  Per-block
-wall-clock timeouts (``policy.job_timeout_s``, owned pools only) kill
-the workers to reclaim a hung block; the resulting pool break is
-recognised as self-inflicted and the innocent blocks resubmit straight
-back to the parallel queue.
+When the scheduler owns its pool it also *self-heals*: the pool is a
+:class:`~repro.campaigns.pool.ResilientPool` without resubmits, which
+rebuilds itself when a worker dies (OOM kill, crash) and fails the
+futures the break took down with ``BrokenExecutor``.  The scheduler
+waits until every future still in flight has settled, then resubmits
+the lost blocks — safe because jobs are content-addressed and
+deterministic, so a resubmitted job writes the byte-identical result
+line it would have written the first time.  Because one dead worker
+fails *every* future of its pool, the culprit is ambiguous whenever
+several blocks were lost; those blocks drain through a serial **probe**
+queue (one block in flight at a time) where the next break
+unambiguously convicts the block it killed.  Per-block wall-clock
+timeouts (``policy.job_timeout_s``, owned pools only) kill the workers
+to reclaim a hung block; the resulting pool break is recognised as
+self-inflicted and the innocent blocks resubmit straight back to the
+parallel queue.
 """
 
 from __future__ import annotations
@@ -52,17 +53,12 @@ import heapq
 import itertools
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, wait
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.campaigns import registry
+from repro.campaigns.pool import ResilientPool
 from repro.campaigns.progress import Progress, ProgressEvent
 from repro.core import backend as backend_module
 from repro.campaigns.store import MemoryStore, error_result, is_error_result
@@ -167,17 +163,13 @@ class FaultPolicy:
     job runs at most 3 times before quarantine); ``job_timeout_s``
     (owned pools only) is the per-block wall-clock budget after which
     the workers are killed and the block handled as timed out;
-    ``backoff_s``/``backoff_max_s`` shape the exponential retry delay;
-    ``max_pool_rebuilds`` caps self-healing (``None`` derives a
-    generous bound from the job count so a systemically-broken
-    environment still terminates).
+    ``backoff_s``/``backoff_max_s`` shape the exponential retry delay.
     """
 
     retries: int = 2
     job_timeout_s: float | None = None
     backoff_s: float = 0.05
     backoff_max_s: float = 2.0
-    max_pool_rebuilds: int | None = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -199,9 +191,11 @@ class FaultPolicy:
         )
 
     def rebuild_cap(self, jobs: int) -> int:
-        """Effective pool-rebuild bound for a run of ``jobs`` jobs."""
-        if self.max_pool_rebuilds is not None:
-            return self.max_pool_rebuilds
+        """Pool-rebuild bound for a run of ``jobs`` jobs.
+
+        Generous enough for every job to break the pool on each of its
+        attempts, finite so a systemically broken host still terminates.
+        """
         return 8 + (self.retries + 1) * max(1, jobs)
 
 
@@ -247,12 +241,12 @@ class Scheduler:
     ``pool`` optionally injects an externally-owned
     :class:`concurrent.futures.Executor` (the serving layer shares one
     process pool between single-request jobs and whole campaigns); the
-    scheduler then fans out on it without ever shutting it down — and
-    without killing its workers or rebuilding it, so ``job_timeout_s``
-    and pool self-healing only apply to owned pools (an injected
-    resilient pool heals itself; see :mod:`repro.serve.pool`).  When
-    ``pool`` is ``None``, a private ``ProcessPoolExecutor`` is created
-    per run for ``workers > 1`` as before.
+    scheduler then fans out on it without ever shutting it down or
+    killing its workers, so ``job_timeout_s`` only applies to owned
+    pools, and a pool break is re-raised to the pool's owner.  When
+    ``pool`` is ``None``, a private
+    :class:`~repro.campaigns.pool.ResilientPool` is created per run for
+    ``workers > 1``.
     """
 
     def __init__(
@@ -407,19 +401,19 @@ class Scheduler:
         """The fault-tolerant supervisor loop over a process pool.
 
         Keeps a bounded submission window in flight; failed blocks
-        split/retry/quarantine per :class:`FaultPolicy`; owned pools
-        self-heal on ``BrokenProcessPool`` and enforce per-block
-        timeouts by killing the workers (see module docstring for the
-        probe-queue convict/exonerate protocol).
+        split/retry/quarantine per :class:`FaultPolicy`; an owned pool
+        heals itself, and the loop blames and resubmits what each break
+        took down and enforces per-block timeouts by killing the
+        workers (see module docstring for the probe-queue
+        convict/exonerate protocol).
         """
         policy = self.faults
         owns_pool = self.pool is None
-        owned: ProcessPoolExecutor | None = None
-        pool: Executor
-        if owns_pool:
-            owned = pool = ProcessPoolExecutor(max_workers=self.workers)
-        else:
-            pool = self.pool
+        pool: Executor = (
+            ResilientPool(self.workers, max_resubmits=0, cooldown_s=0.0)
+            if owns_pool
+            else self.pool
+        )
         # Timeouts require killing workers; never on a shared pool.
         enforce_timeouts = owns_pool and policy.job_timeout_s is not None
         rebuild_cap = policy.rebuild_cap(len(todo))
@@ -432,6 +426,9 @@ class Scheduler:
         retry_heap: list[tuple[float, int, _Block]] = []
         seq = itertools.count()
         inflight: dict[Any, _Block] = {}
+        # Blocks a pool break took down; nothing new is submitted until
+        # the rest of the window has settled too.
+        broken: list[_Block] = []
         window = max(2, self.workers * 2)
 
         def submit(block: _Block) -> None:
@@ -503,25 +500,16 @@ class Scheduler:
             else:
                 schedule_retry(block, serial=False)
 
-        def kill_workers() -> None:
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                process.kill()
-
-        def handle_break(broken: list[_Block]) -> None:
-            """Rebuild the owned pool and reroute every dead block."""
-            nonlocal pool, owned
+        def handle_break(lost: list[_Block]) -> None:
+            """Blame and reroute every block one pool break took down."""
             counters["rebuilds"] += 1
             if counters["rebuilds"] > rebuild_cap:
                 raise RuntimeError(
                     f"worker pool broke {counters['rebuilds']} times; "
-                    "giving up (raise FaultPolicy.max_pool_rebuilds to "
-                    "keep fighting)"
+                    "giving up"
                 )
-            owned.shutdown(wait=True)
-            owned = pool = ProcessPoolExecutor(max_workers=self.workers)
-            timed = [b for b in broken if b.timed_out]
-            fresh = [b for b in broken if not b.timed_out]
+            timed = [b for b in lost if b.timed_out]
+            fresh = [b for b in lost if not b.timed_out]
             for block in timed:
                 fail_timeout(block)
             if timed:
@@ -543,7 +531,9 @@ class Scheduler:
                 while retry_heap and retry_heap[0][0] <= now:
                     _, _, block = heapq.heappop(retry_heap)
                     (probes if block.serial else ready).append(block)
-                if probes:
+                if broken:
+                    pass  # a break is settling: submit nothing new
+                elif probes:
                     # Probe mode: exactly one suspect in flight at a
                     # time, and only once the parallel wave drained.
                     if not inflight:
@@ -587,17 +577,16 @@ class Scheduler:
                             # The only way to reclaim a hung worker is
                             # to kill it; the pool break that follows
                             # is recognised as self-inflicted.
-                            kill_workers()
+                            pool.kill_workers()
                     continue
                 broken_exc: BaseException | None = None
-                broken_blocks: list[_Block] = []
                 for future in completed:
                     block = inflight.pop(future)
                     try:
                         block_results = future.result()
                     except BrokenExecutor as exc:
                         broken_exc = exc
-                        broken_blocks.append(block)
+                        broken.append(block)
                         continue
                     except Exception as exc:  # noqa: BLE001 - fault boundary
                         fail_error(block, exc)
@@ -606,15 +595,16 @@ class Scheduler:
                     for job_id, result in block_results:
                         absorb(job_id, result)
                         emit(labels[job_id])
-                if broken_blocks:
-                    if not owns_pool:
-                        # Shared pools are healed by their owner (the
-                        # serving tier); surface the break to it.
-                        raise broken_exc
-                    # Every other in-flight future died with the pool.
-                    broken_blocks.extend(inflight.values())
-                    inflight.clear()
-                    handle_break(broken_blocks)
+                if broken_exc is not None and not owns_pool:
+                    # Shared pools are healed by their owner (the
+                    # serving tier); surface the break to it.
+                    raise broken_exc
+                if broken and not inflight:
+                    # Everything the break took down is back; blocks
+                    # submitted to the rebuilt pool meanwhile finished
+                    # normally and are not suspects.
+                    handle_break(broken)
+                    broken.clear()
         finally:
-            if owned is not None:
-                owned.shutdown()
+            if owns_pool:
+                pool.shutdown()

@@ -37,7 +37,7 @@ from repro.serve.cluster import (
     run_cluster,
 )
 from repro.serve.http import HttpError, HttpRequest
-from repro.serve.pool import ResilientPool
+from repro.campaigns.pool import ResilientPool
 from repro.serve.server import ServerHandle, run_server, serve, start_in_thread
 from repro.serve.service import (
     AnalysisService,

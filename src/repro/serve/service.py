@@ -24,9 +24,10 @@ One :class:`AnalysisService` instance is the whole application state of
   :mod:`repro.core.batch`).  A lone miss bypasses the queue entirely,
   so sequential traffic pays nothing; ``POST /analyze/batch`` carries
   many requests per round trip through the same machinery.
-* **Pool** — with ``workers > 0`` the service owns one
-  ``ProcessPoolExecutor`` shared by single-request jobs *and* submitted
-  campaigns (injected into the :class:`~repro.campaigns.Scheduler`);
+* **Pool** — with ``workers > 0`` the service owns one self-healing
+  :class:`~repro.campaigns.pool.ResilientPool` shared by single-request
+  jobs *and* submitted campaigns (injected into the
+  :class:`~repro.campaigns.Scheduler`);
   with ``workers == 0`` jobs run on the default thread executor
   (simple, in-process — fine for tests and tiny deployments, but
   GIL-bound).
@@ -65,7 +66,7 @@ from repro.campaigns.store import FSYNC_MODES
 from repro.serve import jobs
 from repro.serve.cache import JsonlQueryStore, ServeCache
 from repro.serve.http import HttpError, HttpRequest
-from repro.serve.pool import ResilientPool
+from repro.campaigns.pool import ResilientPool
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ The simulator serves two purposes in the reproduction:
 The main entry point is :class:`~repro.sim.simulator.WormholeSimulator`.
 The implementation is the fast-lane rework described in DESIGN.md's
 "Simulation performance" section — flat array state, monotone event
-deques, a parallel pruned offset search — and is kept cycle-identical
+deques, a shift-pruned offset search — and is kept cycle-identical
 to the frozen pre-optimisation oracle in :mod:`repro.sim._reference`.
 """
 

@@ -25,22 +25,20 @@ Two levers keep large grids tractable without changing the result:
   tie-break.  It can be forced on/off with ``prune_shifts`` (forcing it
   on with non-ascending grids keeps the maxima exact but may record a
   shifted phasing on ties).
-* **Parallel chunking** — the (pruned) phasing list is split into
-  contiguous chunks fanned out over a ``ProcessPoolExecutor``.  Workers
-  receive the flow set once, at pool start-up (the worker-local caching
-  pattern of ``schedulability_sweep``), so per-chunk traffic is a few
-  offset tuples.  Chunk maxima are folded back **in chunk order** with
-  the same strictly-greater update rule as the serial loop, so the
-  result — including the recorded maximising offsets — is identical for
-  every ``workers``/``chunk_size`` configuration.
+* **Campaign fan-out** — :func:`offset_search` itself is a serial
+  loop.  Parallel searches go through the campaign engine instead:
+  :func:`enumerate_phasings` lists the same pruned phasings up front,
+  and the ``validation`` and ``didactic`` campaigns ship them as
+  ``sim_chunk`` jobs (:mod:`repro.experiments.sim_jobs`) over the
+  scheduler's worker pool, folding chunk maxima back in phasing order.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.flows.flowset import FlowSet
 from repro.sim.observer import LatencyObserver
@@ -57,7 +55,6 @@ class SearchResult:
     runs: int = 0
     #: phasings skipped as pure time-shifts of an earlier phasing.
     pruned: int = 0
-    all_drained: bool = True
 
     def worst_latency(self, flow_name: str) -> int:
         """Worst latency observed for a flow across all phasings tried."""
@@ -91,8 +88,7 @@ def auto_prune_shifts(
     True exactly in the proven regime: anomaly-free ``linkl == 1``
     platforms where *every* networked flow is varied and every grid is
     ascending (so canonical phasings precede their shifts in product
-    order).  Shared by :func:`offset_search` and the campaign engine's
-    job expansion so both enumerate the same phasing list.
+    order).
     """
     networked = {f.name for f in flowset.flows if not f.is_local}
     return (
@@ -100,6 +96,33 @@ def auto_prune_shifts(
         and networked <= set(names)
         and all(list(grid) == sorted(set(grid)) for grid in grids)
     )
+
+
+def _phasings(
+    flowset: FlowSet,
+    vary: Mapping[str, Sequence[int]],
+    prune_shifts: bool | None,
+) -> tuple[tuple[str, ...], int, Iterator[tuple[int, ...]]]:
+    """Check the offset grid; stream the phasings a search simulates.
+
+    Returns the varied flow names, the size of the full product and a
+    lazy stream of the phasings shift-dominance pruning keeps, in
+    product order (so ``pruned = size - kept``).  The one grid check and
+    pruning loop behind both :func:`enumerate_phasings` and
+    :func:`offset_search`.
+    """
+    names = tuple(vary)
+    grids = [list(vary[name]) for name in names]
+    for name, grid in zip(names, grids):
+        if not grid:
+            raise ValueError(f"empty offset grid for flow {name!r}")
+    if prune_shifts is None:
+        prune_shifts = auto_prune_shifts(flowset, names, grids)
+    combos = itertools.product(*grids)
+    if prune_shifts:
+        grid_sets = [set(grid) for grid in grids]
+        combos = (c for c in combos if not _is_shifted(c, grid_sets))
+    return names, math.prod(map(len, grids)), combos
 
 
 def enumerate_phasings(
@@ -112,29 +135,13 @@ def enumerate_phasings(
 
     Returns ``(names, combos, pruned)``: the varied flow names, the
     phasings a sweep would simulate (in product order), and how many
-    were skipped as pure time-shifts.  This is the exact enumeration
-    :func:`offset_search` performs, exposed so campaign specs can chunk
-    phasings into content-addressed jobs ahead of time.
+    were skipped as pure time-shifts.  These are exactly the phasings
+    :func:`offset_search` simulates, listed up front so campaign specs
+    can chunk them into content-addressed jobs.
     """
-    names = tuple(vary)
-    grids = [list(vary[name]) for name in names]
-    for name, grid in zip(names, grids):
-        if not grid:
-            raise ValueError(f"empty offset grid for flow {name!r}")
-    if prune_shifts is None:
-        prune_shifts = auto_prune_shifts(flowset, names, grids)
-    combos: list[tuple[int, ...]] = []
-    pruned = 0
-    if not prune_shifts:
-        combos = list(itertools.product(*grids))
-    else:
-        grid_sets = [set(grid) for grid in grids]
-        for combo in itertools.product(*grids):
-            if _is_shifted(combo, grid_sets):
-                pruned += 1
-            else:
-                combos.append(combo)
-    return names, combos, pruned
+    names, size, stream = _phasings(flowset, vary, prune_shifts)
+    combos = list(stream)
+    return names, combos, size - len(combos)
 
 
 def _is_shifted(
@@ -154,58 +161,6 @@ def _is_shifted(
     )
 
 
-#: Worker-local search context, installed once per worker process by the
-#: pool initializer so the flow set (and its cached routes and slot
-#: tables) is unpickled once per worker instead of once per chunk.
-_WORKER_SEARCH: dict = {}
-
-
-def _init_search_worker(
-    flowset: FlowSet, release_horizon: int, credit_delay: int
-) -> None:
-    _WORKER_SEARCH["flowset"] = flowset
-    _WORKER_SEARCH["release_horizon"] = release_horizon
-    _WORKER_SEARCH["credit_delay"] = credit_delay
-
-
-def _search_chunk(
-    args: tuple,
-    flowset: FlowSet | None = None,
-    release_horizon: int | None = None,
-    credit_delay: int | None = None,
-) -> tuple[int, dict[str, int], dict[str, dict[str, int]], int]:
-    """One contiguous chunk of phasings; returns the chunk's maxima.
-
-    The serial path passes the context explicitly; pool workers read
-    either the chunk's trailing inline context (shared ``executor``) or
-    the process-local one installed by :func:`_init_search_worker`.
-    """
-    chunk_index, names, combos, base_offsets, inline_context = args
-    if flowset is None:
-        if inline_context is not None:
-            flowset, release_horizon, credit_delay = inline_context
-        else:
-            flowset = _WORKER_SEARCH["flowset"]
-            release_horizon = _WORKER_SEARCH["release_horizon"]
-            credit_delay = _WORKER_SEARCH["credit_delay"]
-    worst: dict[str, int] = {}
-    worst_offsets: dict[str, dict[str, int]] = {}
-    for combo in combos:
-        offsets = dict(base_offsets)
-        offsets.update(zip(names, combo))
-        observed = simulate_offsets(
-            flowset,
-            offsets,
-            release_horizon=release_horizon,
-            credit_delay=credit_delay,
-        )
-        for flow_name, latency in observed.items():
-            if latency > worst.get(flow_name, -1):
-                worst[flow_name] = latency
-                worst_offsets[flow_name] = offsets
-    return chunk_index, worst, worst_offsets, len(combos)
-
-
 def offset_search(
     flowset: FlowSet,
     vary: Mapping[str, Sequence[int]],
@@ -213,25 +168,17 @@ def offset_search(
     release_horizon: int,
     base_offsets: Mapping[str, int] | None = None,
     credit_delay: int = 1,
-    workers: int = 1,
-    chunk_size: int | None = None,
     prune_shifts: bool | None = None,
-    executor: ProcessPoolExecutor | None = None,
 ) -> SearchResult:
     """Exhaustively sweep the offset grid and keep per-flow maxima.
 
     ``vary`` maps flow names to the offsets to try (e.g. every phase of a
     fast interferer's period); flows not listed use ``base_offsets``
-    (default 0).  ``workers > 1`` distributes contiguous phasing chunks
-    over processes; ``prune_shifts`` controls shift-dominance pruning
-    (default: automatic, see the module docstring).  Results — maxima
-    *and* the recorded maximising offsets — are identical for every
-    workers/chunking/pruning configuration.
-
-    Callers issuing many searches (campaigns) can pass a shared
-    ``executor`` to amortise pool start-up; chunks then carry their own
-    context instead of relying on the pool initializer, so any plain
-    ``ProcessPoolExecutor`` works.
+    (default 0).  ``prune_shifts`` controls shift-dominance pruning
+    (default: automatic, see the module docstring).  Phasings stream
+    from the grid one at a time, so memory stays bounded however large
+    the product.  The recorded maximising offsets are the first
+    phasing, in product order, to reach each flow's maximum.
 
     >>> from repro.workloads import didactic_flowset
     >>> fs = didactic_flowset(buf=2)
@@ -239,86 +186,22 @@ def offset_search(
     >>> r.runs
     10
     """
-    names = tuple(vary)
-    grids = [list(vary[name]) for name in names]
-    for name, grid in zip(names, grids):
-        if not grid:
-            raise ValueError(f"empty offset grid for flow {name!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    search = SearchResult()
-    if prune_shifts is None:
-        prune_shifts = auto_prune_shifts(flowset, names, grids)
-
-    def phasings():
-        """Stream the (pruned) product lazily — grids can be huge."""
-        if not prune_shifts:
-            yield from itertools.product(*grids)
-            return
-        grid_sets = [set(grid) for grid in grids]
-        for combo in itertools.product(*grids):
-            if _is_shifted(combo, grid_sets):
-                search.pruned += 1
-            else:
-                yield combo
-
-    total = 1
-    for grid in grids:
-        total *= len(grid)
+    names, size, stream = _phasings(flowset, vary, prune_shifts)
     base = dict(base_offsets or {})
-    if chunk_size is None:
-        pool_width = (
-            getattr(executor, "_max_workers", workers)
-            if executor is not None else workers
+    search = SearchResult()
+    for combo in stream:
+        offsets = dict(base)
+        offsets.update(zip(names, combo))
+        observed = simulate_offsets(
+            flowset,
+            offsets,
+            release_horizon=release_horizon,
+            credit_delay=credit_delay,
         )
-        if pool_width > 1:
-            chunk_size = max(1, -(-total // (pool_width * 4)))
-        else:
-            # Serial runs still batch (bounded memory on huge grids);
-            # the chunk-ordered fold makes chunking invisible in the
-            # result.
-            chunk_size = min(total, 1024)
-
-    def chunks(inline_context):
-        stream = phasings()
-        for index in itertools.count():
-            batch = list(itertools.islice(stream, chunk_size))
-            if not batch:
-                return
-            yield (index, names, batch, base, inline_context)
-
-    if executor is not None:
-        context = (flowset, release_horizon, credit_delay)
-        outcomes = list(executor.map(_search_chunk, chunks(context)))
-    elif workers > 1 and total > chunk_size:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_search_worker,
-            initargs=(flowset, release_horizon, credit_delay),
-        ) as pool:
-            outcomes = list(pool.map(_search_chunk, chunks(None)))
-    else:
-        outcomes = [
-            _search_chunk(
-                chunk,
-                flowset=flowset,
-                release_horizon=release_horizon,
-                credit_delay=credit_delay,
-            )
-            for chunk in chunks(None)
-        ]
-
-    # Fold chunk maxima in chunk order: identical to the serial sweep,
-    # including which offsets get recorded on ties (first strict max).
-    for _, worst, worst_offsets, runs in sorted(outcomes):
-        search.runs += runs
-        for flow_name, latency in worst.items():
+        search.runs += 1
+        for flow_name, latency in observed.items():
             if latency > search.worst.get(flow_name, -1):
                 search.worst[flow_name] = latency
-                search.worst_offsets[flow_name] = dict(
-                    worst_offsets[flow_name]
-                )
+                search.worst_offsets[flow_name] = dict(offsets)
+    search.pruned = size - search.runs
     return search

@@ -9,8 +9,14 @@ self-healing after SIGKILL — leaves behind exactly the artefact an
 undisturbed run would have produced (or an honestly partial one).
 """
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
+from repro.campaigns import scheduler
 from repro.campaigns.engine import CampaignError, run_campaign
 from repro.campaigns.faults import faults_spec
 from repro.campaigns.scheduler import FaultPolicy
@@ -171,3 +177,29 @@ class TestPooledFaults:
         [item] = run.quarantine
         assert item.error["reason"] == "timeout"
         assert run.stats.jobs_run == 2
+
+    def test_worker_death_before_window_refill_heals(self, monkeypatch):
+        # The workers die after ``wait`` returned but before the loop
+        # refills its window, so the refill submits to a broken pool.
+        real_wait = scheduler.wait
+        killed = []
+
+        def wait_then_kill(*args, **kwargs):
+            done, pending = real_wait(*args, **kwargs)
+            if done and pending and not killed:
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGKILL)
+                    killed.append(child.pid)
+                time.sleep(0.5)
+            return done, pending
+
+        monkeypatch.setattr(scheduler, "wait", wait_then_kill)
+        entries = ok_jobs(200)
+        run = run_campaign(
+            faults_spec(entries), workers=2, faults=FaultPolicy(**FAST)
+        )
+        assert killed
+        assert not run.partial
+        assert run.stats.pool_rebuilds >= 1
+        # The undisturbed run's values, every job present.
+        assert run.result["values"] == expected_values(entries)

@@ -10,7 +10,10 @@ phasings, credit delays and platform latencies.
 
 import pytest
 
+from repro.campaigns.scheduler import Scheduler
+from repro.campaigns.store import MemoryStore
 from repro.core import backend as backend_mod
+from repro.experiments.sim_jobs import expand_sim_chunks, fold_worst
 from repro.flows.flow import Flow
 from repro.flows.flowset import FlowSet
 from repro.flows.priority import rate_monotonic
@@ -210,7 +213,8 @@ class TestRandomizedEquivalence:
 
 
 class TestOffsetSearchEquivalence:
-    """The parallel pruned search equals the exhaustive serial sweep."""
+    """The pruned and the campaign-chunked searches equal the exhaustive
+    serial sweep."""
 
     def test_search_matches_reference_maxima(self):
         flowset = didactic_flowset(buf=10)
@@ -225,16 +229,22 @@ class TestOffsetSearchEquivalence:
                 expected[name] = max(expected.get(name, 0), latency)
         assert search.worst == expected
 
-    def test_parallel_identical_to_serial(self):
+    def test_sim_chunk_campaign_identical_to_serial(self):
+        """Parallel searches run as ``sim_chunk`` jobs on the scheduler's
+        pool; folded back in phasing order they equal the serial loop."""
         flowset = didactic_flowset(buf=2)
         grid = {"t1": range(0, 120, 15)}
         serial = offset_search(flowset, grid, release_horizon=6001)
-        parallel = offset_search(
-            flowset, grid, release_horizon=6001, workers=2, chunk_size=3
+        jobs, pruned = expand_sim_chunks(
+            "equivalence", "didactic", {"kind": "didactic", "buf": 2},
+            flowset, grid, 6001, chunk_size=3,
         )
-        assert parallel.worst == serial.worst
-        assert parallel.worst_offsets == serial.worst_offsets
-        assert parallel.runs == serial.runs
+        assert len(jobs) > 1 and pruned == serial.pruned
+        results, stats = Scheduler(workers=2).run(jobs, MemoryStore())
+        assert stats.jobs_run == len(jobs)
+        chunks = [results[job.job_id] for job in jobs]
+        assert fold_worst(chunks) == serial.worst
+        assert sum(chunk["runs"] for chunk in chunks) == serial.runs
 
     def test_pruned_identical_to_exhaustive(self):
         flowset = didactic_flowset(buf=2)

@@ -63,14 +63,6 @@ class TestOffsetSearch:
         result = offset_search(didactic2, {"t1": (0,)}, release_horizon=1)
         assert result.worst_latency("ghost") == 0
 
-    def test_bad_workers_rejected(self, didactic2):
-        with pytest.raises(ValueError, match="workers"):
-            offset_search(didactic2, {"t1": (0,)}, release_horizon=1, workers=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            offset_search(
-                didactic2, {"t1": (0,)}, release_horizon=1, chunk_size=0
-            )
-
 
 class TestShiftPruning:
     """Dominance pruning of uniformly time-shifted phasings."""

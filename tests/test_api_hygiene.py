@@ -1,13 +1,15 @@
 """Public-API hygiene: docstrings everywhere, exports consistent.
 
 Production-quality guardrails: every public module, class and function in
-``repro`` carries a docstring, and every name each ``__all__`` promises
-actually exists.
+``repro`` carries a docstring, every name each ``__all__`` promises
+actually exists, and worker processes have one owner.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +94,22 @@ def test_top_level_analyses_registered():
     ):
         assert hasattr(repro, cls_name)
     assert set(_ANALYSES) == {"kim98", "sb", "xlw16", "xlwx", "ibn"}
+
+
+def test_process_pools_are_built_only_by_resilient_pool():
+    """``ResilientPool`` is the one owner of worker processes: no other
+    module under ``src/repro`` constructs a ``ProcessPoolExecutor``."""
+    root = Path(repro.__file__).parent
+    owner = root / "campaigns" / "pool.py"
+    calls = []
+    for path in sorted(root.rglob("*.py")):
+        if path == owner:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func  # a bare name or a ``module.attr`` call
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "ProcessPoolExecutor":
+                calls.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not calls, f"ProcessPoolExecutor outside ResilientPool: {calls}"
