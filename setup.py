@@ -1,8 +1,8 @@
-"""Setuptools shim.
+"""Package metadata and build script.
 
-All metadata lives in pyproject.toml; this file exists so that the legacy
-editable-install path (``pip install -e . --no-use-pep517``) works in
-offline environments that lack the ``wheel`` package.
+This file holds all of the package's metadata; there is no
+``pyproject.toml``.  numpy is required: the analyses, workloads and
+random streams import it unconditionally.
 
 It also declares the optional C extension behind the backend seam:
 ``python setup.py build_ext --inplace`` compiles ``core/_kernels.c``

@@ -297,15 +297,15 @@ class _Frontier:
         ):
             raise _SearchBudgetExhausted()
         from repro.core.batch import (
+            MIN_BATCH_FLOWS,
             Scenario,
             analyze_batch,
             batchable,
-            min_batch_flows,
         )
 
         variants = [self._variant(depths) for depths in todo]
         stacked = sum(len(variant) for variant in variants)
-        if batchable(self.analysis) and stacked >= min_batch_flows():
+        if batchable(self.analysis) and stacked >= MIN_BATCH_FLOWS:
             scenarios = [
                 Scenario(variant, self.analysis, graph=self.graph)
                 for variant in variants

@@ -36,10 +36,7 @@ import os
 import warnings
 from ctypes import c_int64, c_void_p
 
-try:  # compiled backends are numpy-in, numpy-out; no numpy, no seam
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as _np
 
 ENV_VAR = "REPRO_BACKEND"
 DEFAULT_NAME = "numpy"
@@ -94,19 +91,16 @@ class CextBackend(Backend):
     def available(self) -> bool:
         if not self._probed:
             self._probed = True
-            if _np is None:
-                self._error = "numpy unavailable"
-            else:
-                try:
-                    loader = self._loader
-                    if loader is None:
-                        from repro.core import _cbuild
-                        loader = _cbuild.load
-                    self._lib, self._artifact = loader()
-                    self._declare()
-                except Exception as exc:  # noqa: BLE001 - report, not raise
-                    self._lib = None
-                    self._error = str(exc)
+            try:
+                loader = self._loader
+                if loader is None:
+                    from repro.core import _cbuild
+                    loader = _cbuild.load
+                self._lib, self._artifact = loader()
+                self._declare()
+            except Exception as exc:  # noqa: BLE001 - report, not raise
+                self._lib = None
+                self._error = str(exc)
         return self._lib is not None
 
     def detail(self) -> str:

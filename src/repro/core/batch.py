@@ -33,7 +33,6 @@ enforces the contract on randomized platforms.
 
 Scalar fallback: a scenario is handed back to :func:`analyze` when
 
-* numpy is unavailable,
 * its analysis is not exactly SB/XLWX/IBN (subclasses may override the
   strategy points, which the array program cannot see),
 * a response iterate approaches the int64 safety bound or the
@@ -44,11 +43,11 @@ Scalar fallback: a scenario is handed back to :func:`analyze` when
 
 from __future__ import annotations
 
-import os
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as _np
 
 from repro.core import backend as _backend
 from repro.core.analyses.base import Analysis
@@ -63,13 +62,8 @@ from repro.core.engine import (
     _timing_equal,
     analyze,
 )
-from repro.core.interference import InterferenceGraph
+from repro.core.interference import InterferenceGraph, _gather_segments
 from repro.flows.flowset import FlowSet
-
-try:  # optional: the batch path needs numpy (scalar fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 #: Iterates beyond this divert the scenario to the scalar engine before
 #: int64 products could overflow (Python ints are unbounded there).
@@ -107,43 +101,14 @@ class Scenario:
 
 def batchable(analysis: Analysis) -> bool:
     """Can the array program run this analysis (else: scalar fallback)?"""
-    return _np is not None and type(analysis) in _MODES
+    return type(analysis) in _MODES
 
 
-#: Default stacked-flow count beneath which batch consumers prefer the
-#: scalar engine (array-program setup overhead dominates tiny rounds).
-_DEFAULT_MIN_BATCH_FLOWS = 1024
-_warned_min_flows = False
-
-
-def min_batch_flows(override: int | None = None) -> int:
-    """The tiny-round threshold: rounds stacking fewer flows than this
-    should take the scalar path.
-
-    Callers pass sweep-level keyword overrides through ``override``;
-    otherwise the ``REPRO_BATCH_MIN_FLOWS`` environment variable tunes
-    the default (``1024``).  Both paths are byte-identical (the
-    equivalence contract), so the threshold only moves the crossover
-    point, never the results; an unparsable variable warns once and
-    keeps the default rather than failing a sweep.
-    """
-    if override is not None:
-        return int(override)
-    raw = os.environ.get("REPRO_BATCH_MIN_FLOWS")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            global _warned_min_flows
-            if not _warned_min_flows:
-                _warned_min_flows = True
-                warnings.warn(
-                    f"REPRO_BATCH_MIN_FLOWS={raw!r} is not an integer; "
-                    f"using {_DEFAULT_MIN_BATCH_FLOWS}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return _DEFAULT_MIN_BATCH_FLOWS
+#: Stacked-flow count beneath which batch consumers take the scalar
+#: engine instead: array-program setup costs more than it saves on tiny
+#: rounds.  Both engines are byte-identical, so it moves only the
+#: crossover, never a result.
+MIN_BATCH_FLOWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +364,6 @@ def _segment_sums(values, counts):
     sums = _np.add.reduceat(values, starts)
     sums[counts == 0] = 0
     return sums
-
-
-def _gather_segments(starts, lens):
-    """Indices gathering variable-length segments, plus their offsets."""
-    offsets = _np.zeros(len(lens) + 1, dtype=_np.int64)
-    _np.cumsum(lens, out=offsets[1:])
-    total = int(offsets[-1])
-    if total == 0:
-        return _np.empty(0, dtype=_np.int64), offsets
-    idx = _np.repeat(starts - offsets[:-1], lens) + _np.arange(
-        total, dtype=_np.int64
-    )
-    return idx, offsets
 
 
 def _ceil_div(numer, denom):

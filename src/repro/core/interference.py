@@ -25,32 +25,30 @@ with τi and hence be a direct interferer, not an indirect one.
 
 Representation (the analysis kernel's hot path)
 -----------------------------------------------
-Link ids are dense small integers, so each route is encoded as an integer
-**bitmask** (bit ``λ`` set when link ``λ`` is on the route): the pairwise
-overlap test of the O(n²) build is a single ``mask_a & mask_b``, and the
-contention-domain size is a ``bit_count()``.  Per-flow **position arrays**
-(link id → 1-based order on the route, 0 when absent) turn span
-computations into list indexing.  All pair geometry lands in flat n×n
-tables (``size``/``lo``/``hi`` per route), so the per-pair accessors the
-engine hammers are O(1) list lookups with no hashing, and the
-lower-priority suffix table used by the non-preemptive blocking term is
-built eagerly here rather than lazily on first use.
+One integer numpy pass builds all pair geometry, at every flow count.
+The (flow, link, order-on-route) incidences of all routes are sorted by
+link, and each link's users are expanded into the ordered flow pairs that
+share it.  Counting each pair's key gives ``|cd_ab|``; the smallest and
+largest order those shared links have on the row flow's route give the
+span ``lo``/``hi``.  The orders are distinct integers, so the contention
+domain is a contiguous run of links **iff** ``hi − lo + 1 == |cd_ab|`` —
+the property dimension-order routing guarantees, checked for every
+overlapping pair on both of its routes.  All pair geometry lands in flat
+n×n tables (``size``/``lo``/``hi`` per route) whose rows become plain
+lists on first access, so the per-pair accessors the engine hammers are
+O(1) list lookups with no hashing.  ``S^D_i`` is kept both as an index
+tuple and as an integer bitmask over flow indices, and the lower-priority
+suffix table used by the non-preemptive blocking term is built eagerly
+here rather than lazily on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.flows.flowset import FlowSet
-
-try:  # optional: vectorized pair discovery (pure-python fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
-#: Flow-set size from which the numpy pair-discovery path pays for itself;
-#: below it, matrix setup costs more than the plain double loop.
-_VECTOR_DISCOVERY_MIN_FLOWS = 64
 
 
 class _LazyRows:
@@ -80,36 +78,24 @@ class _LazyRows:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __eq__(self, other):  # tests compare tables across gears
-        return [self[i] for i in range(len(self))] == [
-            other[i] for i in range(len(other))
-        ]
 
-
-@dataclass(frozen=True)
-class PairGeometry:
-    """Summary of the contention domain of one unordered flow pair.
-
-    ``size`` is ``|cd_ij|`` (number of shared links); ``lo_a``/``hi_a`` are
-    the 1-based orders of the first/last shared link on the route of the
-    pair's lower-indexed flow, ``lo_b``/``hi_b`` on the other route.
-
-    Kept as the public value type for pair geometry
-    (:meth:`InterferenceGraph.pair_geometry`); internally the graph stores
-    the same numbers in flat per-index tables.
-    """
-
-    size: int
-    lo_a: int
-    hi_a: int
-    lo_b: int
-    hi_b: int
+def _gather_segments(starts, lens):
+    """Indices gathering variable-length segments, plus their offsets."""
+    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    total = int(offsets[-1])
+    if total == 0:
+        return np.empty(0, dtype=np.int64), offsets
+    idx = np.repeat(starts - offsets[:-1], lens) + np.arange(
+        total, dtype=np.int64
+    )
+    return idx, offsets
 
 
 class InterferenceGraph:
     """All pairwise contention geometry and interference sets of a flow set.
 
-    Construction is O(n² + overlapping pairs · |cd|); the
+    Construction is O(n² + Σ over links of users²); the
     upstream/downstream partitions are computed lazily per (τi, τj) pair
     and cached, since the engine only needs them for pairs where τj
     directly interferes with τi.
@@ -121,11 +107,7 @@ class InterferenceGraph:
         self._names = [f.name for f in flows]
         self._index = {f.name: idx for idx, f in enumerate(flows)}
         self._routes = [flowset.route(f.name) for f in flows]
-        self._direct: list[tuple[int, ...]] = []
-        self._direct_sets: list[frozenset[int]] = []
         self._updown_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        #: lazily-built S^D bitmasks over flow indices (see direct_masks).
-        self._direct_masks: list[int] | None = None
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -133,179 +115,73 @@ class InterferenceGraph:
     def _build(self) -> None:
         routes = self._routes
         n = len(routes)
-        num_links = self.flowset.platform.topology.num_links
 
-        masks: list[int] = []
-        for route in routes:
-            mask = 0
-            for link in route:
-                mask |= 1 << link
-            masks.append(mask)
-        self._link_masks = masks
+        # Incidences (flow, link, 1-based order on the flow's route),
+        # sorted by link so that each link's users form one run, in
+        # ascending flow order.
+        lengths = np.fromiter(map(len, routes), dtype=np.int64, count=n)
+        total = int(lengths.sum())
+        link = np.fromiter(
+            chain.from_iterable(routes), dtype=np.int64, count=total
+        )
+        flow = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        order = np.arange(1, total + 1) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        by_link = np.argsort(link, kind="stable")
+        link, flow, order = link[by_link], flow[by_link], order[by_link]
 
-        # Flat n×n geometry tables: cd size (symmetric) and the 1-based
-        # first/last orders of cd_ij on flow i's route (row i, column j).
-        # 0 size / 0 lo means "routes disjoint".  Two gears fill them: a
-        # matrix-algebra path (numpy, pays off from medium sets up) and a
-        # scalar bitmask path (small sets, numpy-less installs).
-        if _np is not None and n >= _VECTOR_DISCOVERY_MIN_FLOWS:
-            self._build_tables_vector(routes, n, num_links)
-        else:
-            self._build_tables_scalar(routes, masks, n, num_links)
-        self._direct_sets = [frozenset(members) for members in self._direct]
+        # Pair every incidence with each incidence of its link's run: the
+        # ordered flow pairs (row, col) sharing that link, both ways round.
+        users = np.bincount(link)
+        run_start = np.cumsum(users) - users
+        fanout = users[link]
+        row = np.repeat(np.arange(total), fanout)
+        col, _ = _gather_segments(run_start[link], fanout)
+        row_flow, col_flow = flow[row], flow[col]
+        distinct = row_flow != col_flow
+        key = row_flow[distinct] * n + col_flow[distinct]
+        row_order = order[row][distinct]
+
+        # Flat n×n tables: cd size (symmetric) and the first/last orders
+        # of cd_ij on flow i's route (row i, column j); 0 means disjoint.
+        size = np.bincount(key, minlength=n * n)
+        lo = np.full(n * n, total + 1, dtype=np.int64)
+        np.minimum.at(lo, key, row_order)
+        hi = np.zeros(n * n, dtype=np.int64)
+        np.maximum.at(hi, key, row_order)
+        shared = size > 0
+        lo[~shared] = 0
+        # A pair's shared links have distinct orders on the row flow's
+        # route, so they are one contiguous run iff hi − lo + 1 == size.
+        broken = np.flatnonzero(shared & (hi - lo + 1 != size))
+        if broken.size:
+            a, b = divmod(int(broken[0]), n)
+            self._raise_not_contiguous(min(a, b), max(a, b))
+        self._cd_size = _LazyRows(size.reshape(n, n))
+        self._cd_lo = _LazyRows(lo.reshape(n, n))
+        self._cd_hi = _LazyRows(hi.reshape(n, n))
+
+        # S^D rows: for each flow, the higher-priority (smaller-index)
+        # flows it shares links with, ascending, as index tuples and as
+        # bitmasks packed from the below-diagonal adjacency rows.
+        higher = np.tril(shared.reshape(n, n), -1)
+        rows, cols = np.nonzero(higher)
+        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        cols = cols.tolist()
+        self._direct = [tuple(cols[bounds[i]:bounds[i + 1]]) for i in range(n)]
+        packed = np.packbits(higher, axis=1, bitorder="little")
+        self._direct_masks = [
+            int.from_bytes(bits.tobytes(), "little") for bits in packed
+        ]
 
         # Suffix link table for the non-preemptive blocking term: for each
         # flow, how many of its route links are also used by *lower*
-        # priority flows.  One backward pass over the route masks.
-        lower_counts = [0] * n
-        accumulated = 0
-        for index in range(n - 1, -1, -1):
-            lower_counts[index] = (masks[index] & accumulated).bit_count()
-            accumulated |= masks[index]
-        self._lower_shared_counts = lower_counts
-
-    def _build_tables_vector(self, routes, n: int, num_links: int) -> None:
-        """Geometry tables via incidence-matrix products (no per-pair loop).
-
-        Let ``B`` be the n×L 0/1 route-incidence matrix and ``P`` the
-        matching matrix of 1-based link orders.  Then for every pair at
-        once::
-
-            count[a,b]  = (B·Bᵀ)[a,b]      — |cd_ab|
-            sum[a,b]    = (P·Bᵀ)[a,b]      — Σ orders of cd links on τa
-            sumsq[a,b]  = (P²·Bᵀ)[a,b]     — Σ orders² of cd links on τa
-
-        A set of ``c`` integers with sum ``s`` is the contiguous run
-        starting at ``lo = (2s − c(c−1)) / 2c`` **iff** its sum of squares
-        equals that run's — any gap strictly increases the sum of squares
-        at fixed count and sum.  That turns both the span extraction and
-        the dimension-order contiguity check into elementwise integer
-        algebra, and the tables come out through one ``tolist()`` each.
-        All quantities are bounded by the route length (≤ a few dozen), so
-        float32 matmul and int64 algebra are exact.
-        """
-        incidence_flat = _np.zeros(n * num_links, dtype=_np.float32)
-        orders_flat = _np.zeros(n * num_links, dtype=_np.float32)
-        flat_index = _np.fromiter(
-            (i * num_links + link for i, route in enumerate(routes) for link in route),
-            dtype=_np.int64,
-        )
-        incidence_flat[flat_index] = 1.0
-        orders_flat[flat_index] = _np.fromiter(
-            (order for route in routes for order in range(1, len(route) + 1)),
-            dtype=_np.float32,
-        )
-        incidence = incidence_flat.reshape(n, num_links)
-        orders = orders_flat.reshape(n, num_links)
-
-        transposed = incidence.T.copy()
-        count = (incidence @ transposed).astype(_np.int64)
-        _np.fill_diagonal(count, 0)
-        order_sum = (orders @ transposed).astype(_np.int64)
-        order_sumsq = ((orders * orders) @ transposed).astype(_np.int64)
-
-        # Work sparsely from here: the moment algebra only matters at the
-        # overlapping entries (both orientations of each pair).
-        rows, cols = _np.nonzero(count)
-        c = count[rows, cols]
-        order_s = order_sum[rows, cols]
-        order_q = order_sumsq[rows, cols]
-        two_c = 2 * c
-        lo_numer = 2 * order_s - c * (c - 1)
-        lo = lo_numer // two_c
-        run_sumsq = (
-            c * lo * lo + lo * c * (c - 1) + (c - 1) * c * (2 * c - 1) // 6
-        )
-        contiguous = (
-            (lo_numer % two_c == 0) & (lo >= 1) & (order_q == run_sumsq)
-        )
-        if not contiguous.all():
-            first_bad = int(_np.nonzero(~contiguous)[0][0])
-            bad_a, bad_b = int(rows[first_bad]), int(cols[first_bad])
-            self._raise_not_contiguous(min(bad_a, bad_b), max(bad_a, bad_b))
-
-        lo_mat = _np.zeros_like(count)
-        lo_mat[rows, cols] = lo
-        hi_mat = _np.zeros_like(count)
-        hi_mat[rows, cols] = lo + c - 1
-        self._cd_size = _LazyRows(count)
-        self._cd_lo = _LazyRows(lo_mat)
-        self._cd_hi = _LazyRows(hi_mat)
-
-        # S^D rows: for each flow, the higher-priority (smaller-index)
-        # flows it shares links with, ascending — sliced per row out of the
-        # row-major nonzero structure of the symmetric count matrix.
-        row_starts = _np.searchsorted(rows, _np.arange(n + 1))
-        direct: list[tuple[int, ...]] = []
-        for i in range(n):
-            sharing = cols[row_starts[i]:row_starts[i + 1]]
-            direct.append(tuple(sharing[: _np.searchsorted(sharing, i)].tolist()))
-        self._direct = direct
-
-        # The S^D bitmasks come almost for free here: pack the adjacency
-        # rows to bytes and keep the below-diagonal (higher-priority) part.
-        packed = _np.packbits(count > 0, axis=1, bitorder="little")
-        self._direct_masks = [
-            int.from_bytes(packed[i].tobytes(), "little") & ((1 << i) - 1)
-            for i in range(n)
-        ]
-
-    def _build_tables_scalar(self, routes, masks, n: int, num_links: int) -> None:
-        """Geometry tables via the per-pair bitmask loop (small sets)."""
-        positions: list[list[int]] = []
-        for route in routes:
-            pos = [0] * num_links
-            for order, link in enumerate(route, start=1):
-                pos[link] = order
-            positions.append(pos)
-
-        size = [[0] * n for _ in range(n)]
-        lo = [[0] * n for _ in range(n)]
-        hi = [[0] * n for _ in range(n)]
-        direct: list[list[int]] = [[] for _ in range(n)]
-        for a in range(n):
-            mask_a = masks[a]
-            if not mask_a:
-                continue
-            route_a = routes[a]
-            for b in range(a + 1, n):
-                shared = mask_a & masks[b]
-                if not shared:
-                    continue
-                pos_b = positions[b]
-                count = shared.bit_count()
-                # The cd must be a contiguous run on τa's route: locate its
-                # first link by scanning, then read the remaining count−1
-                # links straight off the route.  Any gap in that window (or
-                # the window overrunning the route) means the run is not
-                # contiguous — invalid under dimension-order routing.
-                start = 0
-                for link in route_a:
-                    if pos_b[link]:
-                        break
-                    start += 1
-                end = start + count
-                if end > len(route_a):
-                    self._raise_not_contiguous(a, b)
-                lo_b = hi_b = pos_b[route_a[start]]
-                for t in range(start + 1, end):
-                    order_b = pos_b[route_a[t]]
-                    if not order_b:
-                        self._raise_not_contiguous(a, b)
-                    if order_b < lo_b:
-                        lo_b = order_b
-                    elif order_b > hi_b:
-                        hi_b = order_b
-                if hi_b - lo_b + 1 != count:
-                    self._raise_not_contiguous(a, b)
-                size[a][b] = size[b][a] = count
-                lo[a][b], hi[a][b] = start + 1, end
-                lo[b][a], hi[b][a] = lo_b, hi_b
-                direct[b].append(a)
-        self._cd_size = size
-        self._cd_lo = lo
-        self._cd_hi = hi
-        self._direct = [tuple(members) for members in direct]
+        # priority flows, i.e. whose run ends with a larger flow index.
+        last_user = flow[run_start[link] + fanout - 1]
+        self._lower_shared_counts = np.bincount(
+            flow[flow < last_user], minlength=n
+        ).tolist()
 
     def _raise_not_contiguous(self, a: int, b: int) -> None:
         raise ValueError(
@@ -319,40 +195,10 @@ class InterferenceGraph:
 
         The batched analysis engine (:mod:`repro.core.batch`) derives its
         flat pair/downstream index tables from these with whole-matrix
-        algebra instead of per-pair accessor calls.  Requires numpy; the
-        vector discovery gear hands back its backing matrices, the scalar
-        gear's nested lists are converted on the fly.
+        algebra instead of per-pair accessor calls.  They are the arrays
+        behind the graph's own tables, so callers must not modify them.
         """
-        if _np is None:  # pragma: no cover - the toolchain ships numpy
-            raise RuntimeError("geometry_matrices requires numpy")
-
-        def dense(table):
-            matrix = getattr(table, "_matrix", None)
-            if matrix is not None:
-                return matrix
-            return _np.array(
-                [table[i] for i in range(len(table))], dtype=_np.int64
-            )
-
-        return dense(self._cd_size), dense(self._cd_lo), dense(self._cd_hi)
-
-    def pair_geometry(self, i: int, j: int) -> PairGeometry | None:
-        """The pair's :class:`PairGeometry` (``None`` when disjoint).
-
-        ``lo_a``/``hi_a`` refer to the lower-indexed flow of the pair,
-        matching the unordered-pair convention.
-        """
-        a, b = (i, j) if i < j else (j, i)
-        count = self._cd_size[a][b]
-        if count == 0:
-            return None
-        return PairGeometry(
-            size=count,
-            lo_a=self._cd_lo[a][b],
-            hi_a=self._cd_hi[a][b],
-            lo_b=self._cd_lo[b][a],
-            hi_b=self._cd_hi[b][a],
-        )
+        return self._cd_size._matrix, self._cd_lo._matrix, self._cd_hi._matrix
 
     def compatible_with(self, flowset: FlowSet) -> bool:
         """Is this graph valid for ``flowset``?
@@ -431,7 +277,7 @@ class InterferenceGraph:
         ``linkl > 1`` (see :mod:`repro.core.engine`): on such platforms a
         higher-priority header can stall behind one in-flight
         lower-priority flit on each of these links.  Precomputed in
-        :meth:`_build` from the suffix union of route masks.
+        :meth:`_build` from each link's lowest-priority user.
         """
         return self._lower_shared_counts[i]
 
@@ -450,16 +296,9 @@ class InterferenceGraph:
 
         Lets the engine test "does τi directly depend on any flow in this
         set?" with one ``&`` against another index bitmask (taint
-        propagation).  Built on first use so pure graph construction does
-        not pay for it, then shared by every analysis using this graph.
+        propagation); shared by every analysis using this graph.
         """
-        masks = self._direct_masks
-        if masks is None:
-            masks = [
-                sum(1 << j for j in members) for members in self._direct
-            ]
-            self._direct_masks = masks
-        return masks
+        return self._direct_masks
 
     def direct(self, name: str) -> tuple[str, ...]:
         """``S^D_i`` by flow names."""
@@ -467,12 +306,12 @@ class InterferenceGraph:
 
     def indirect_by_index(self, i: int) -> tuple[int, ...]:
         """``S^I_i``: flows interfering with ``S^D_i`` members but not τi."""
-        direct = self._direct_sets[i]
+        direct = self._direct_masks[i]
         indirect = {
             k
             for j in self._direct[i]
             for k in self._direct[j]
-            if k not in direct
+            if not direct >> k & 1
         }
         return tuple(sorted(indirect))
 
@@ -493,7 +332,7 @@ class InterferenceGraph:
         cached = self._updown_cache.get((i, j))
         if cached is not None:
             return cached
-        if j not in self._direct_sets[i]:
+        if not self._direct_masks[i] >> j & 1:
             raise ValueError(
                 f"{self._names[j]!r} is not a direct interferer of {self._names[i]!r}"
             )
@@ -513,7 +352,7 @@ class InterferenceGraph:
         cached = self._updown_cache.get((i, j))
         if cached is not None:
             return cached
-        masks = self.direct_masks
+        masks = self._direct_masks
         members = masks[j] & ~(masks[i] | (1 << i))
         if not members:
             result: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())

@@ -99,7 +99,7 @@ def run_buffer_chunk_block(params_list: Sequence[Mapping]) -> list[dict]:
     through the worker-local chunk cache exactly as the per-job path
     does.  Per-job results are identical to :func:`run_buffer_chunk`.
     """
-    from repro.core.batch import Scenario, analyze_batch, min_batch_flows
+    from repro.core.batch import MIN_BATCH_FLOWS, Scenario, analyze_batch
 
     scenarios: list[Scenario] = []
     spans: list[tuple[int, int]] = []
@@ -113,7 +113,7 @@ def run_buffer_chunk_block(params_list: Sequence[Mapping]) -> list[dict]:
                 Scenario(FlowSet(platform, flows), analysis, graph=graph)
             )
         spans.append((start, len(scenarios)))
-    if sum(len(s.flowset) for s in scenarios) >= min_batch_flows():
+    if sum(len(s.flowset) for s in scenarios) >= MIN_BATCH_FLOWS:
         batch = analyze_batch(scenarios, early_exit=True)
         verdicts = [r.complete and r.schedulable for r in batch]
     else:

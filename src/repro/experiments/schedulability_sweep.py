@@ -269,7 +269,6 @@ def spec_verdicts_batch(
     entries: Sequence[tuple[FlowSet, Sequence[AnalysisSpec]]],
     *,
     graphs: Sequence[InterferenceGraph | None] | None = None,
-    min_batch_flows: int | None = None,
 ) -> list[dict[str, bool]]:
     """Verdicts for many flow sets, batched through the columnar kernel.
 
@@ -278,17 +277,11 @@ def spec_verdicts_batch(
     sequence is *identical* to :func:`spec_verdicts` — the bisection
     over the verdict chain runs in lock-stepped rounds, and each
     round's pending analyses across all sets form one mixed-analysis
-    :func:`~repro.core.batch.analyze_batch` call (scalar for tiny
-    rounds, where array assembly would cost more than it saves).
-    ``min_batch_flows`` overrides that crossover threshold; it defaults
-    to :func:`repro.core.batch.min_batch_flows` (tunable through
-    ``REPRO_BATCH_MIN_FLOWS``), and both paths are byte-identical, so
-    moving it only shifts where the scalar engine takes over.
+    :func:`~repro.core.batch.analyze_batch` call (scalar for rounds
+    stacking fewer than :data:`repro.core.batch.MIN_BATCH_FLOWS` flows,
+    where array assembly would cost more than it saves).
     """
-    from repro.core.batch import Scenario, analyze_batch
-    from repro.core.batch import min_batch_flows as _threshold
-
-    tiny_cutoff = _threshold(min_batch_flows)
+    from repro.core.batch import MIN_BATCH_FLOWS, Scenario, analyze_batch
 
     states: list[_VerdictState] = []
     for position, (base_flowset, specs) in enumerate(entries):
@@ -303,7 +296,7 @@ def spec_verdicts_batch(
             Scenario(flowset, analysis, graph=state.graph, warm_from=warm)
             for state, (_, flowset, analysis, warm) in picked
         ]
-        if sum(len(s.flowset) for s in scenarios) >= tiny_cutoff:
+        if sum(len(s.flowset) for s in scenarios) >= MIN_BATCH_FLOWS:
             results = analyze_batch(scenarios, early_exit=True)
         else:
             results = [

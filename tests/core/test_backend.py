@@ -5,8 +5,7 @@ result — unknown or broken backends degrade to numpy with one warning
 and byte-identical output.  These tests exercise the registry and
 selection order (explicit call > ``REPRO_BACKEND`` > default), the
 broken-extension fallback path with a deliberately failing loader, the
-``repro backend`` CLI diagnostic, the serve config validation, and the
-tiny-round threshold tunable.
+``repro backend`` CLI diagnostic and the serve config validation.
 """
 
 import warnings
@@ -27,11 +26,7 @@ from repro.core.backend import (
     set_backend,
     use_backend,
 )
-from repro.core.batch import (
-    Scenario,
-    analyze_batch,
-    min_batch_flows,
-)
+from repro.core.batch import Scenario, analyze_batch
 from repro.core.engine import analyze
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.flows.flowset import FlowSet
@@ -167,24 +162,6 @@ class TestBrokenExtensionFallback:
         cold = analyze(flowset, IBNAnalysis())
         assert batch.flows == cold.flows
         assert batch.complete == cold.complete
-
-
-class TestMinBatchFlows:
-    def test_default(self):
-        assert min_batch_flows() == 1024
-
-    def test_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_MIN_FLOWS", "7")
-        assert min_batch_flows(3) == 3
-        assert min_batch_flows() == 7
-
-    def test_bad_env_warns_and_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_MIN_FLOWS", "not-a-number")
-        import repro.core.batch as batch_mod
-
-        monkeypatch.setattr(batch_mod, "_warned_min_flows", False)
-        with pytest.warns(RuntimeWarning, match="REPRO_BATCH_MIN_FLOWS"):
-            assert min_batch_flows() == 1024
 
 
 class TestCli:

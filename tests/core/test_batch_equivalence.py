@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import backend as backend_mod
+from repro.core import batch as batch_mod
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.core.analyses.sb import SBAnalysis
 from repro.core.analyses.xlw16 import XLW16Analysis
@@ -258,22 +259,19 @@ class TestVerdictConsumers:
             assert verdicts == spec_verdicts(flowset, specs)
 
     def test_min_batch_flows_boundary_is_byte_identical(self, monkeypatch):
-        """Shifting the scalar/batch crossover — keyword argument or
-        ``REPRO_BATCH_MIN_FLOWS`` — never changes a verdict, only which
-        engine produced it."""
+        """Shifting the scalar/batch crossover never changes a verdict,
+        only which engine produced it."""
         specs = fig4_specs()
         entries = [
             (_random_flowset(24 + 11 * i, 900 + i, tag="threshold"), specs)
             for i in range(4)
         ]
         total = sum(len(flowset) for flowset, _ in entries)
-        all_batch = spec_verdicts_batch(entries, min_batch_flows=1)
-        all_scalar = spec_verdicts_batch(
-            entries, min_batch_flows=10 * total
-        )
+        monkeypatch.setattr(batch_mod, "MIN_BATCH_FLOWS", 1)
+        all_batch = spec_verdicts_batch(entries)
+        monkeypatch.setattr(batch_mod, "MIN_BATCH_FLOWS", 10 * total)
+        all_scalar = spec_verdicts_batch(entries)
         assert all_batch == all_scalar
-        monkeypatch.setenv("REPRO_BATCH_MIN_FLOWS", "1")
-        assert spec_verdicts_batch(entries) == all_scalar
 
     def test_sched_chunk_block_equals_per_job(self):
         params = {

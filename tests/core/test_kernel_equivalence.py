@@ -7,8 +7,9 @@ implementation it replaced.  These property-style tests enforce that:
 * a reference interference graph built the seed way — frozenset
   intersections and dict position lookups — must agree with
   :class:`InterferenceGraph` on every geometry accessor, interference
-  set, up/down partition and suffix count, across meshes, seeds and both
-  discovery gears;
+  set, up/down partition and suffix count, across meshes, seeds and flow
+  counts up to Figure 4's, and a set whose contention domain has a gap
+  must be rejected;
 * :func:`compare`'s warm-started runs must equal cold :func:`analyze`
   runs field-for-field (every ``FlowResult``, including unconverged
   iterates and taint flags), across buffer depths and deadline modes;
@@ -21,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.interference as interference_module
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.core.analyses.sb import SBAnalysis
 from repro.core.analyses.xlw16 import XLW16Analysis
@@ -36,6 +36,7 @@ from repro.experiments.schedulability_sweep import (
 from repro.flows.flow import Flow
 from repro.flows.flowset import FlowSet
 from repro.noc.platform import NoCPlatform
+from repro.noc.routing import RoutingFunction
 from repro.noc.topology import Mesh2D
 from repro.util.rng import spawn_rng
 from repro.workloads.synthetic import SyntheticConfig, synthetic_flows
@@ -147,33 +148,68 @@ class TestGraphEquivalence:
     def test_matches_reference_graph(self, mesh, n, seed):
         _assert_graph_matches_reference(_random_flowset(*mesh, n, seed))
 
-    @pytest.mark.parametrize("n", [80, 150])
-    def test_gears_agree_above_and_below_threshold(self, n, monkeypatch):
-        """Scalar and vectorized table builders produce identical graphs."""
-        flowset = _random_flowset(4, 4, n, seed=7, tag="gears")
-        monkeypatch.setattr(
-            interference_module, "_VECTOR_DISCOVERY_MIN_FLOWS", 10**9
+    @pytest.mark.parametrize(
+        "cols, rows, n",
+        [(4, 4, 100), (4, 4, 400), (8, 8, 480)],
+        ids=["4x4-100", "4x4-400", "8x8-480"],
+    )
+    def test_matches_reference_graph_at_figure4_sizes(self, cols, rows, n):
+        _assert_graph_matches_reference(
+            _random_flowset(cols, rows, n, seed=7, tag="fig4-size")
         )
-        scalar = InterferenceGraph(flowset)
-        monkeypatch.setattr(
-            interference_module, "_VECTOR_DISCOVERY_MIN_FLOWS", 1
-        )
-        vector = InterferenceGraph(flowset)
-        for i in range(n):
-            assert scalar.direct_by_index(i) == vector.direct_by_index(i)
-            assert (
-                scalar.lower_priority_shared_links(i)
-                == vector.lower_priority_shared_links(i)
-            )
-            for j in range(n):
-                assert scalar.cd_size_by_index(i, j) == vector.cd_size_by_index(i, j)
-        assert scalar.direct_masks == vector.direct_masks
 
-    def test_vector_gear_used_at_scale(self):
-        flowset = _random_flowset(4, 4, 100, seed=3, tag="gear-pick")
-        graph = InterferenceGraph(flowset)
-        # the vectorized gear stores numpy-backed lazy rows
-        assert isinstance(graph._cd_size, interference_module._LazyRows)
+    def test_matches_reference_graph_with_one_flow(self):
+        _assert_graph_matches_reference(_random_flowset(4, 4, 1, seed=3))
+
+    def test_matches_reference_graph_with_only_local_flows(self):
+        platform = NoCPlatform(Mesh2D(3, 3), buf=2)
+        flows = [
+            Flow(f"f{node}", priority=node + 1, period=100, length=8,
+                 src=node, dst=node)
+            for node in range(5)
+        ]
+        _assert_graph_matches_reference(FlowSet(platform, flows))
+
+
+class _TableRouting(RoutingFunction):
+    """Routes read from a fixed ``(src, dst) -> links`` table.
+
+    Lets a test build routes no dimension-order routing would produce.
+    """
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def compute_route(self, topology, src, dst):
+        return self.table[(src, dst)]
+
+    def next_output(self, topology, router, dst):
+        raise NotImplementedError("table routes are never simulated")
+
+
+class TestNonContiguousDomain:
+    @pytest.mark.parametrize(
+        "hi_route, lo_route",
+        [((0, 1, 2), (3, 0, 4, 2)), ((0, 2), (0, 5, 2)), ((0, 5, 2), (0, 2))],
+        ids=["gap-on-both-routes", "gap-on-lower-route", "gap-on-higher-route"],
+    )
+    def test_gap_in_contention_domain_is_rejected(self, hi_route, lo_route):
+        # "mid" shares no link, so the message must name the pair with
+        # the gap, not the first two flows.
+        routing = _TableRouting({(0, 2): hi_route, (1, 2): lo_route,
+                                 (3, 4): (7, 8)})
+        platform = NoCPlatform(Mesh2D(3, 2), buf=2, routing=routing)
+        flowset = FlowSet(platform, [
+            Flow("hi", priority=1, period=100, length=8, src=0, dst=2),
+            Flow("mid", priority=2, period=100, length=8, src=3, dst=4),
+            Flow("lo", priority=3, period=100, length=8, src=1, dst=2),
+        ])
+        with pytest.raises(
+            ValueError,
+            match="flows 'hi' and 'lo' is not a contiguous run of links",
+        ):
+            InterferenceGraph(flowset)
 
 
 ANALYSES = [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()]

@@ -2,7 +2,8 @@
 
 Production-quality guardrails: every public module, class and function in
 ``repro`` carries a docstring, every name each ``__all__`` promises
-actually exists, and worker processes have one owner.
+actually exists, worker processes have one owner, and nothing calls
+into BLAS.
 """
 
 import ast
@@ -113,3 +114,32 @@ def test_process_pools_are_built_only_by_resilient_pool():
             if name == "ProcessPoolExecutor":
                 calls.append(f"{path.relative_to(root)}:{node.lineno}")
     assert not calls, f"ProcessPoolExecutor outside ResilientPool: {calls}"
+
+
+_BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+
+
+def test_no_blas_calls():
+    """No module under ``src/repro`` calls into BLAS: no ``@`` operator,
+    no ``dot``/``matmul``/``einsum``/``tensordot``/``inner``/``vdot`` and
+    no ``linalg.*`` call.  A BLAS call wakes one OpenBLAS thread per core
+    in its process, and the idle threads spin, which doubles the CPU of a
+    worker pool that already fills the cores."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                blas = isinstance(node.op, ast.MatMult)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                owner = getattr(func, "value", None)
+                blas = name in _BLAS_CALLS or (
+                    getattr(owner, "id", None) or getattr(owner, "attr", None)
+                ) == "linalg"
+            else:
+                continue
+            if blas:
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not found, f"BLAS calls under src/repro: {found}"
