@@ -63,10 +63,6 @@ class AnalysisContext:
     #: Equation 6's per-link factor ``buf·linkl`` on homogeneous platforms
     #: (None when per-router depths differ and the per-link sum applies).
     bi_unit: int | None = field(init=False)
-    #: the graph's up/down partition memo table, bound once here so the
-    #: per-pair analysis code probes it without attribute walks (misses
-    #: are filled via ``graph.updown_partition``).
-    updown_cache: dict = field(init=False)
 
     def __post_init__(self):
         self.flows = self.flowset.flows
@@ -77,7 +73,6 @@ class AnalysisContext:
         self.bi_unit = (
             platform.buf * platform.linkl if platform.is_homogeneous else None
         )
-        self.updown_cache = self.graph.updown_cache
 
     def interference_jitter(self, j: int) -> int:
         """``J^I_j = R_j − C_j`` (the fix of Indrusiak et al. [6])."""

@@ -57,15 +57,14 @@ class IBNAnalysis(Analysis):
         self.use_buffer_bound = use_buffer_bound
 
     def downstream_term(self, ctx: AnalysisContext, i: int, j: int) -> int:
-        cached = ctx.updown_cache.get((i, j))
-        if cached is None:
-            cached = ctx.graph.updown_partition(i, j)
-        upstream, downstream = cached
+        graph = ctx.graph
+        row = graph.pair_row(i, j)
+        downstream = graph.downstream_runs[row]
         if not downstream:
             return 0
-        if upstream or (
+        if graph.upstream_flags[row] or (
             self.upstream_rule == "any_upstream"
-            and self._any_direct_upstream(ctx, i, j)
+            and graph.any_direct_upstream[row]
         ):
             # Chopped-up arrival: buffered-interference accounting does not
             # hold, use XLWX's Equation 3 verbatim (same per-pair totals).
@@ -91,20 +90,6 @@ class IBNAnalysis(Analysis):
                 per_hit = bi
             total += hits * per_hit
         return total
-
-    def _any_direct_upstream(
-        self, ctx: AnalysisContext, i: int, j: int
-    ) -> bool:
-        """The "any_upstream" widening: is any *direct* interferer of τi
-        hitting τj strictly upstream of cd_ij on τj's route?"""
-        cd_lo, _ = ctx.graph.cd_span_on(j, i)
-        for k in ctx.graph.direct_by_index(j):
-            if k == i:
-                continue
-            _, jk_hi = ctx.graph.cd_span_on(j, k)
-            if jk_hi < cd_lo:
-                return True
-        return False
 
     def label(self, platform_buf: int | None = None) -> str:
         """Paper-style label carrying the analysed buffer size (e.g. IBN2)."""

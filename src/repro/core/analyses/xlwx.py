@@ -29,11 +29,9 @@ class XLWXAnalysis(Analysis):
     unsafe = False
 
     def downstream_term(self, ctx: AnalysisContext, i: int, j: int) -> int:
-        cached = ctx.updown_cache.get((i, j))
-        if cached is None:
-            cached = ctx.graph.updown_partition(i, j)
+        graph = ctx.graph
         totals = ctx.total
         term = 0
-        for k in cached[1]:
+        for k in graph.downstream_runs[graph.pair_row(i, j)]:
             term += totals[(j, k)]
         return term

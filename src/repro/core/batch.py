@@ -11,10 +11,10 @@ batch at once:
 * flows of every scenario occupy **slots** of one flat array; levels
   (priority indices) are processed in order, each level solving the
   recurrences of *all* scenarios' flows at that level simultaneously;
-* the pair structure (direct interference sets, downstream partitions,
-  contention-domain sizes) is derived once per interference graph from
-  its dense geometry matrices (:meth:`InterferenceGraph
-  .geometry_matrices`) and cached on the graph, so buffer variants and
+* the pair structure (direct interference sets, downstream runs,
+  upstream flags, contention-domain sizes) is the interference graph's
+  own sparse pair table (:class:`~repro.core.interference
+  .InterferenceGraph`), stacked as it is, so buffer variants and
   repeated analyses of the same flows share it;
 * per-iteration masking retires converged (scenario, flow) cells: rows
   leave the working arrays the moment their recurrence converges,
@@ -112,127 +112,6 @@ MIN_BATCH_FLOWS = 1024
 
 
 # ---------------------------------------------------------------------------
-# Per-graph structure: flat pair / downstream index tables.
-# ---------------------------------------------------------------------------
-
-class _GraphStruct:
-    """Flow-major flat interference structure of one graph.
-
-    ``pair_i``/``pair_j`` enumerate every direct-interference pair
-    (τi, τj ∈ S^D_i) in flow-major order (i ascending, j ascending
-    within i — the scalar engine's term order).  ``down_pair``/
-    ``down_k`` flatten each pair's downstream set S^{down_j}_{I_i},
-    ``down_pair`` holding the *pair index* of (j, k) so totals and
-    per-hit costs recorded when level j was solved can be gathered
-    directly.  All arrays are int64/bool numpy arrays.
-    """
-
-    __slots__ = (
-        "n", "pair_i", "pair_j", "pair_offsets", "down_pair", "down_k",
-        "down_offsets", "up_nonempty", "any_direct_up", "cd_size_pair",
-        "lower_counts", "mat_fields",
-    )
-
-
-def _graph_struct(graph: InterferenceGraph) -> _GraphStruct:
-    """The graph's batch structure, built on first use and cached."""
-    struct = getattr(graph, "_batch_struct", None)
-    if struct is None:
-        struct = _build_struct(graph)
-        graph._batch_struct = struct
-    return struct
-
-
-def _build_struct(graph: InterferenceGraph) -> _GraphStruct:
-    cd_size, cd_lo, cd_hi = graph.geometry_matrices()
-    n = cd_size.shape[0]
-    struct = _GraphStruct()
-    struct.n = n
-    # Lower-triangular adjacency: adj[i, j] == True iff τj ∈ S^D_i.
-    adj = cd_size > 0
-    adj &= _np.tri(n, dtype=bool, k=-1)
-    pair_i, pair_j = _np.nonzero(adj)
-    pair_i = pair_i.astype(_np.int64)
-    pair_j = pair_j.astype(_np.int64)
-    num_pairs = len(pair_i)
-    struct.pair_i = pair_i
-    struct.pair_j = pair_j
-    struct.pair_offsets = _np.searchsorted(
-        pair_i, _np.arange(n + 1)
-    ).astype(_np.int64)
-    struct.cd_size_pair = cd_size[pair_i, pair_j].astype(_np.int64)
-    struct.lower_counts = _np.asarray(
-        [graph.lower_priority_shared_links(i) for i in range(n)],
-        dtype=_np.int64,
-    )
-
-    # Downstream/upstream partitions for every pair at once, evaluated
-    # sparsely: the candidates for pair (τi, τj) are exactly the pairs
-    # (τj, τk) of τj's own direct set, so enumerating each pair's
-    # candidate run of the pair table (one repeat + one arange) and
-    # testing membership/geometry with 1-D gathers beats any dense
-    # (pairs × n) formulation.  Route orders fit int16 comfortably.
-    lo16 = cd_lo.astype(_np.int16)
-    hi16 = cd_hi.astype(_np.int16)
-    lo_ji = lo16[pair_j, pair_i]
-    hi_ji = hi16[pair_j, pair_i]
-    # Span of each pair on its *owner's* route (row pair_i, col pair_j):
-    # for a candidate pair q = (τj, τk) these are cd(j,k)'s orders on
-    # τj's route — the quantities the partition rule compares.
-    own_lo = lo16[pair_i, pair_j]
-    own_hi = hi16[pair_i, pair_j]
-    deg = _np.diff(struct.pair_offsets)
-    cand_q, cand_offsets = _gather_segments(
-        struct.pair_offsets[pair_j], deg[pair_j]
-    )
-    cand_lens = deg[pair_j]
-    owner = _np.repeat(_np.arange(num_pairs, dtype=_np.int64), cand_lens)
-    k = pair_j[cand_q]
-    # Members of S^I_i ∩ S^D_j: direct interferers of τj that are
-    # neither direct interferers of τi nor τi itself (k < j < i, so the
-    # k == i exclusion is already implied by the triangle shape).
-    member = ~adj[pair_i[owner], k]
-    down = member & (own_lo[cand_q] > hi_ji[owner])
-    up = member & (own_hi[cand_q] < lo_ji[owner])
-    counts = _segment_sums(down.astype(_np.int64), cand_lens)
-    up_nonempty = _segment_sums(up.astype(_np.int64), cand_lens) > 0
-    struct.down_pair = cand_q[down]
-    struct.down_k = k[down]
-    offsets = _np.zeros(num_pairs + 1, dtype=_np.int64)
-    _np.cumsum(counts, out=offsets[1:])
-    struct.down_offsets = offsets
-    struct.up_nonempty = up_nonempty
-    # The "any_upstream" ablation widening is computed on first use
-    # (see _ensure_any_direct_up); the default rule never reads it.
-    struct.any_direct_up = None
-    # (names, priorities) for materialisation, filled on first use.
-    struct.mat_fields = None
-    return struct
-
-
-def _ensure_any_direct_up(graph: InterferenceGraph, struct: _GraphStruct):
-    """Lazily computed "any_upstream" flags: does any *direct* interferer
-    of τj hit τj strictly upstream of cd_ij?  Only the non-default
-    ``upstream_rule="any_upstream"`` ablation reads these."""
-    if struct.any_direct_up is not None:
-        return struct.any_direct_up
-    cd_size, cd_lo, cd_hi = graph.geometry_matrices()
-    pair_i, pair_j = struct.pair_i, struct.pair_j
-    num_pairs = len(pair_i)
-    lo16 = cd_lo.astype(_np.int16)
-    hi16 = cd_hi.astype(_np.int16)
-    lo_ji = lo16[pair_j, pair_i]
-    own_hi = hi16[pair_i, pair_j]
-    deg = _np.diff(struct.pair_offsets)
-    cand_q, _ = _gather_segments(struct.pair_offsets[pair_j], deg[pair_j])
-    cand_lens = deg[pair_j]
-    owner = _np.repeat(_np.arange(num_pairs, dtype=_np.int64), cand_lens)
-    hit = own_hi[cand_q] < lo_ji[owner]
-    struct.any_direct_up = _segment_sums(hit.astype(_np.int64), cand_lens) > 0
-    return struct.any_direct_up
-
-
-# ---------------------------------------------------------------------------
 # Per-scenario plan: numeric arrays + analysis mode.
 # ---------------------------------------------------------------------------
 
@@ -240,7 +119,7 @@ class _Plan:
     """Everything one batched scenario contributes to the composition."""
 
     __slots__ = (
-        "scenario", "graph", "struct", "mode", "n", "c", "period", "jitter",
+        "scenario", "graph", "mode", "n", "c", "period", "jitter",
         "deadline", "blocking", "warm", "use_bound", "fallback_pair",
         "bi_pair",
     )
@@ -275,18 +154,16 @@ def _build_plan(scenario: Scenario) -> _Plan:
     plan = _Plan()
     plan.scenario = scenario
     plan.graph = graph
-    struct = _graph_struct(graph)
-    plan.struct = struct
     plan.mode = _MODES[type(scenario.analysis)]
-    plan.n = struct.n
+    plan.n = n = len(flowset.flows)
     plan.c, plan.period, plan.jitter, plan.deadline = _numeric_arrays(
         flowset
     )
     platform = flowset.platform
     if platform.linkl > 1:
-        plan.blocking = (platform.linkl - 1) * struct.lower_counts
+        plan.blocking = (platform.linkl - 1) * graph.lower_counts
     else:
-        plan.blocking = _np.zeros(plan.n, dtype=_np.int64)
+        plan.blocking = _np.zeros(n, dtype=_np.int64)
     plan.warm = _warm_array(scenario, plan)
     plan.use_bound = False
     plan.fallback_pair = None
@@ -294,15 +171,14 @@ def _build_plan(scenario: Scenario) -> _Plan:
     if plan.mode == _MODE_IBN:
         analysis = scenario.analysis
         plan.use_bound = analysis.use_buffer_bound
-        has_down = _np.diff(struct.down_offsets) > 0
-        fallback = struct.up_nonempty.copy()
+        fallback = graph.up_nonempty
         if analysis.upstream_rule == "any_upstream":
-            fallback |= _ensure_any_direct_up(graph, struct)
-        plan.fallback_pair = has_down & fallback
+            fallback = fallback | graph.any_direct_upstream
+        plan.fallback_pair = (_np.diff(graph.down_offsets) > 0) & fallback
         if platform.is_homogeneous:
             plan.bi_pair = (
                 platform.buf * platform.linkl
-            ) * struct.cd_size_pair
+            ) * graph.pair_size.astype(_np.int64)
         else:
             # Per-link depths (Equation 6 generalised): rare enough that
             # a per-pair Python sum is fine.
@@ -313,7 +189,7 @@ def _build_plan(scenario: Scenario) -> _Plan:
                         platform.buf_of_link(link)
                         for link in graph.cd_links_by_index(int(i), int(j))
                     )
-                    for i, j in zip(struct.pair_i, struct.pair_j)
+                    for i, j in zip(graph.pair_i, graph.pair_j)
                 ],
                 dtype=_np.int64,
             )
@@ -546,26 +422,26 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     )
 
     # ---- flat pair arrays --------------------------------------------
+    # Each scenario's pair-table rows, offset into the flat arrays (the
+    # graph's int32 columns widen to int64 against the int64 bases).
     pair_bases = _np.zeros(B + 1, dtype=_np.int64)
     _np.cumsum(
-        _np.asarray([len(p.struct.pair_i) for p in plans], dtype=_np.int64),
+        _np.asarray([len(p.graph.pair_i) for p in plans], dtype=_np.int64),
         out=pair_bases[1:],
     )
-    pair_level = _np.concatenate([p.struct.pair_i for p in plans])
+    pair_level = _np.concatenate([p.graph.pair_i for p in plans])
     pair_j_slot = _np.concatenate(
-        [p.struct.pair_j + int(slot_base[b]) for b, p in enumerate(plans)]
+        [p.graph.pair_j + slot_base[b] for b, p in enumerate(plans)]
     )
     pair_mode = _np.concatenate(
-        [
-            _np.full(len(p.struct.pair_i), p.mode, dtype=_np.int64)
-            for p in plans
-        ]
+        [_np.full(len(p.graph.pair_i), p.mode, dtype=_np.int64)
+         for p in plans]
     )
     pair_fallback = _np.concatenate(
         [
             p.fallback_pair
             if p.fallback_pair is not None
-            else _np.zeros(len(p.struct.pair_i), dtype=bool)
+            else _np.zeros(len(p.graph.pair_i), dtype=bool)
             for p in plans
         ]
     )
@@ -573,15 +449,13 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         [
             p.bi_pair
             if p.bi_pair is not None
-            else _np.zeros(len(p.struct.pair_i), dtype=_np.int64)
+            else _np.zeros(len(p.graph.pair_i), dtype=_np.int64)
             for p in plans
         ]
     )
     pair_use_bound = _np.concatenate(
-        [
-            _np.full(len(p.struct.pair_i), p.use_bound, dtype=bool)
-            for p in plans
-        ]
+        [_np.full(len(p.graph.pair_i), p.use_bound, dtype=bool)
+         for p in plans]
     )
     pperm = _np.argsort(pair_level, kind="stable")
     inv_pperm = _np.empty_like(pperm)
@@ -596,45 +470,26 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     )
     # Per-slot direct-set sizes, level-major (row segmentation).
     slot_counts = _np.concatenate(
-        [_np.diff(p.struct.pair_offsets) for p in plans]
+        [_np.diff(p.graph.pair_offsets) for p in plans]
     )[slot_perm]
 
     # ---- flat downstream arrays (regrouped to the pair permutation) ---
     down_lens_sm = _np.concatenate(
-        [_np.diff(p.struct.down_offsets) for p in plans]
+        [_np.diff(p.graph.down_offsets) for p in plans]
     )
     down_starts_sm = _np.zeros(len(down_lens_sm), dtype=_np.int64)
-    down_total = _np.zeros(B + 1, dtype=_np.int64)
-    _np.cumsum(
-        _np.asarray([len(p.struct.down_pair) for p in plans]),
-        out=down_total[1:],
-    )
     down_pair_sm = _np.concatenate(
-        [
-            inv_pperm[p.struct.down_pair + int(pair_bases[b])]
-            if len(p.struct.down_pair)
-            else _np.empty(0, dtype=_np.int64)
-            for b, p in enumerate(plans)
-        ]
-    ) if int(down_total[-1]) else _np.empty(0, dtype=_np.int64)
-    down_k_slot_sm = _np.concatenate(
-        [
-            p.struct.down_k + int(slot_base[b])
-            if len(p.struct.down_k)
-            else _np.empty(0, dtype=_np.int64)
-            for b, p in enumerate(plans)
-        ]
-    ) if int(down_total[-1]) else _np.empty(0, dtype=_np.int64)
+        [inv_pperm[p.graph.down_pair + pair_bases[b]]
+         for b, p in enumerate(plans)]
+    )
     _np.cumsum(down_lens_sm[:-1], out=down_starts_sm[1:])
     gather_idx, down_offsets = _gather_segments(
         down_starts_sm[pperm], down_lens_sm[pperm]
     )
-    down_pair = (
-        down_pair_sm[gather_idx] if gather_idx.size else down_pair_sm
-    )
-    down_k_slot = (
-        down_k_slot_sm[gather_idx] if gather_idx.size else down_k_slot_sm
-    )
+    down_pair = down_pair_sm[gather_idx]
+    del down_pair_sm, gather_idx
+    # Each entry's τk is the τj column of its own (τj, τk) row.
+    down_k_slot = pair_j_slot[down_pair]
     down_starts = down_offsets[:-1]
     down_lens = down_lens_sm[pperm]
 
@@ -828,19 +683,12 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         base_slot = int(slot_base[b])
         flows: dict[str, FlowResult] = {}
         upto = int(last_level[b])
-        fields = plan.struct.mat_fields
-        if fields is None:
-            fields = plan.struct.mat_fields = (
-                [f.name for f in flowset.flows],
-                [f.priority for f in flowset.flows],
-            )
-        names, priorities = fields
-        for index in range(upto + 1):
+        for index, flow in enumerate(flowset.flows[:upto + 1]):
             slot = base_slot + index
-            name = names[index]
+            name = flow.name
             flows[name] = _flow_result_fast(
                 name,
-                priorities[index],
+                flow.priority,
                 C_l[slot],
                 D_l[slot],
                 R_l[slot],

@@ -23,60 +23,42 @@ A structural fact worth noting (asserted in the test suite): every flow in
 whose contention domain with τj overlapped ``cd_ij`` would share a link
 with τi and hence be a direct interferer, not an indirect one.
 
-Representation (the analysis kernel's hot path)
------------------------------------------------
+Representation: one sparse pair table
+-------------------------------------
 One integer numpy pass builds all pair geometry, at every flow count.
 The (flow, link, order-on-route) incidences of all routes are sorted by
-link, and each link's users are expanded into the ordered flow pairs that
-share it.  Counting each pair's key gives ``|cd_ab|``; the smallest and
-largest order those shared links have on the row flow's route give the
-span ``lo``/``hi``.  The orders are distinct integers, so the contention
-domain is a contiguous run of links **iff** ``hi − lo + 1 == |cd_ab|`` —
-the property dimension-order routing guarantees, checked for every
-overlapping pair on both of its routes.  All pair geometry lands in flat
-n×n tables (``size``/``lo``/``hi`` per route) whose rows become plain
-lists on first access, so the per-pair accessors the engine hammers are
-O(1) list lookups with no hashing.  ``S^D_i`` is kept both as an index
-tuple and as an integer bitmask over flow indices, and the lower-priority
-suffix table used by the non-preemptive blocking term is built eagerly
-here rather than lazily on first use.
+link, and each incidence is paired with the higher-priority users of its
+link; sorting those incidence pairs by flow pair groups each pair's
+shared links.  The result is **one pair table** with a row per pair of
+flows that share a link — (τi, τj) with τj ∈ S^D_i, grouped by τi
+(``pair_offsets``, CSR) with τj ascending.  Each row carries ``|cd_ij|``
+and the first/last order of cd_ij on *both* routes.  The orders are
+distinct integers, so the contention domain is a contiguous run of links
+**iff** ``hi − lo + 1 == |cd_ij|`` — the property dimension-order
+routing guarantees, checked for every row on both routes.
+
+Each row also carries its downstream run ``S^{down_j}_{I_i}`` (the rows
+of the pairs (τj, τk), so per-pair quantities recorded at level j can be
+gathered directly) and whether ``S^{up_j}_{I_i}`` is nonempty: the
+candidates of row (τi, τj) are exactly τj's own rows, enumerated in
+bounded chunks.  The batch engine stacks these arrays as they are; the
+scalar accessors read them through plain lists built on first scalar
+use.  Memory grows with the pairs that share a link, never with n².
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from repro.flows.flowset import FlowSet
 
-
-class _LazyRows:
-    """List-of-lists view over an int matrix, materialised row by row.
-
-    The geometry tables are indexed ``table[i][j]`` all over the hot path;
-    converting a numpy matrix to nested lists up front pays for every row,
-    but early-exiting analyses only ever touch the rows of flows they
-    processed.  This keeps ``table[i]`` returning a plain list (cheap
-    scalar indexing afterwards) while deferring each row's conversion to
-    its first access.
-    """
-
-    __slots__ = ("_matrix", "_rows")
-
-    def __init__(self, matrix):
-        self._matrix = matrix
-        self._rows: list[list[int] | None] = [None] * len(matrix)
-
-    def __getitem__(self, i: int) -> list[int]:
-        row = self._rows[i]
-        if row is None:
-            row = self._matrix[i].tolist()
-            self._rows[i] = row
-        return row
-
-    def __len__(self) -> int:
-        return len(self._rows)
+#: Candidate (τi, τj, τk) triples examined per step of the downstream
+#: enumeration; bounds its temporaries whatever the flow count.
+_CANDIDATE_CHUNK = 1 << 18
 
 
 def _gather_segments(starts, lens):
@@ -95,10 +77,20 @@ def _gather_segments(starts, lens):
 class InterferenceGraph:
     """All pairwise contention geometry and interference sets of a flow set.
 
-    Construction is O(n² + Σ over links of users²); the
-    upstream/downstream partitions are computed lazily per (τi, τj) pair
-    and cached, since the engine only needs them for pairs where τj
-    directly interferes with τi.
+    The pair table (module docstring) is a set of read-only numpy arrays,
+    one entry per row (τi, τj ∈ S^D_i) unless noted:
+
+    * ``pair_i``/``pair_j``: the row's flows, rows sorted by τi then τj;
+      ``pair_offsets`` (n + 1): τi's rows are ``pair_offsets[i]`` up to
+      ``pair_offsets[i + 1]``;
+    * ``pair_size``: ``|cd_ij|``; ``pair_lo_i``/``pair_hi_i`` and
+      ``pair_lo_j``/``pair_hi_j``: cd_ij's first/last 1-based order on
+      τi's and on τj's route;
+    * ``down_offsets`` (rows + 1) and ``down_pair``: each row's
+      downstream run, as rows (τj, τk); ``up_nonempty``: is
+      ``S^{up_j}_{I_i}`` nonempty;
+    * ``lower_counts`` (n): route links each flow shares with a
+      lower-priority flow.
     """
 
     def __init__(self, flowset: FlowSet):
@@ -107,7 +99,6 @@ class InterferenceGraph:
         self._names = [f.name for f in flows]
         self._index = {f.name: idx for idx, f in enumerate(flows)}
         self._routes = [flowset.route(f.name) for f in flows]
-        self._updown_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -116,9 +107,10 @@ class InterferenceGraph:
         routes = self._routes
         n = len(routes)
 
-        # Incidences (flow, link, 1-based order on the flow's route),
-        # sorted by link so that each link's users form one run, in
-        # ascending flow order.
+        # Incidences (flow, link, 1-based order on the flow's route) in
+        # flow-major order.  Sorted by link, each link's users form one
+        # run in ascending flow order, so an incidence's rank in its run
+        # counts the higher-priority users of its link.
         lengths = np.fromiter(map(len, routes), dtype=np.int64, count=n)
         total = int(lengths.sum())
         link = np.fromiter(
@@ -129,59 +121,126 @@ class InterferenceGraph:
             np.cumsum(lengths) - lengths, lengths
         )
         by_link = np.argsort(link, kind="stable")
-        link, flow, order = link[by_link], flow[by_link], order[by_link]
-
-        # Pair every incidence with each incidence of its link's run: the
-        # ordered flow pairs (row, col) sharing that link, both ways round.
         users = np.bincount(link)
         run_start = np.cumsum(users) - users
-        fanout = users[link]
-        row = np.repeat(np.arange(total), fanout)
-        col, _ = _gather_segments(run_start[link], fanout)
-        row_flow, col_flow = flow[row], flow[col]
-        distinct = row_flow != col_flow
-        key = row_flow[distinct] * n + col_flow[distinct]
-        row_order = order[row][distinct]
-
-        # Flat n×n tables: cd size (symmetric) and the first/last orders
-        # of cd_ij on flow i's route (row i, column j); 0 means disjoint.
-        size = np.bincount(key, minlength=n * n)
-        lo = np.full(n * n, total + 1, dtype=np.int64)
-        np.minimum.at(lo, key, row_order)
-        hi = np.zeros(n * n, dtype=np.int64)
-        np.maximum.at(hi, key, row_order)
-        shared = size > 0
-        lo[~shared] = 0
-        # A pair's shared links have distinct orders on the row flow's
-        # route, so they are one contiguous run iff hi − lo + 1 == size.
-        broken = np.flatnonzero(shared & (hi - lo + 1 != size))
-        if broken.size:
-            a, b = divmod(int(broken[0]), n)
-            self._raise_not_contiguous(min(a, b), max(a, b))
-        self._cd_size = _LazyRows(size.reshape(n, n))
-        self._cd_lo = _LazyRows(lo.reshape(n, n))
-        self._cd_hi = _LazyRows(hi.reshape(n, n))
-
-        # S^D rows: for each flow, the higher-priority (smaller-index)
-        # flows it shares links with, ascending, as index tuples and as
-        # bitmasks packed from the below-diagonal adjacency rows.
-        higher = np.tril(shared.reshape(n, n), -1)
-        rows, cols = np.nonzero(higher)
-        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-        cols = cols.tolist()
-        self._direct = [tuple(cols[bounds[i]:bounds[i + 1]]) for i in range(n)]
-        packed = np.packbits(higher, axis=1, bitorder="little")
-        self._direct_masks = [
-            int.from_bytes(bits.tobytes(), "little") for bits in packed
-        ]
+        rank = np.empty(total, dtype=np.int64)
+        rank[by_link] = np.arange(total) - run_start[link[by_link]]
 
         # Suffix link table for the non-preemptive blocking term: for each
         # flow, how many of its route links are also used by *lower*
         # priority flows, i.e. whose run ends with a larger flow index.
-        last_user = flow[run_start[link] + fanout - 1]
-        self._lower_shared_counts = np.bincount(
+        last_user = flow[by_link][(run_start + users - 1)[link]]
+        self.lower_counts = np.bincount(
             flow[flow < last_user], minlength=n
-        ).tolist()
+        )
+
+        # Pair each incidence of τi with every higher-priority incidence
+        # of its link.  Generated τi by τi in route order, so a stable
+        # sort by flow pair keeps each pair's orders on τi's route
+        # ascending: its first and last entries are the span on τi.
+        row = np.repeat(np.arange(total), rank)
+        col, _ = _gather_segments(run_start[link], rank)
+        col = by_link[col]
+        key = flow[row] * n + flow[col]
+        by_pair = np.argsort(key, kind="stable")
+        key = key[by_pair]
+        row_order = order[row[by_pair]]
+        col_order = order[col[by_pair]]
+        del row, col, by_pair
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        size = np.diff(first, append=len(key))
+        last = first + size - 1
+        pair_i, pair_j = np.divmod(key[first], n)
+        lo_i, hi_i = row_order[first], row_order[last]
+        if len(first):
+            lo_j = np.minimum.reduceat(col_order, first)
+            hi_j = np.maximum.reduceat(col_order, first)
+        else:
+            lo_j = hi_j = col_order
+        # A route that repeats a link pairs a flow with itself: not a pair.
+        distinct = pair_i != pair_j
+        if not distinct.all():
+            pair_i, pair_j, size = pair_i[distinct], pair_j[distinct], size[distinct]
+            lo_i, hi_i = lo_i[distinct], hi_i[distinct]
+            lo_j, hi_j = lo_j[distinct], hi_j[distinct]
+
+        # A pair's shared links have distinct orders on each route, so
+        # they are one contiguous run iff hi − lo + 1 == size.  Name the
+        # broken pair whose (route flow, other flow) comes first.
+        broken_i = hi_i - lo_i + 1 != size
+        broken_j = hi_j - lo_j + 1 != size
+        broken = np.flatnonzero(broken_i | broken_j)
+        if broken.size:
+            first_key = np.where(
+                broken_j, pair_j * n + pair_i, pair_i * n + pair_j
+            )[broken]
+            at = broken[np.argmin(first_key)]
+            self._raise_not_contiguous(int(pair_j[at]), int(pair_i[at]))
+
+        self.pair_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair_i, minlength=n), out=self.pair_offsets[1:])
+        self.pair_i = pair_i.astype(np.int32)
+        self.pair_j = pair_j.astype(np.int32)
+        self.pair_size = size.astype(np.int32)
+        self.pair_lo_i = lo_i.astype(np.int32)
+        self.pair_hi_i = hi_i.astype(np.int32)
+        self.pair_lo_j = lo_j.astype(np.int32)
+        self.pair_hi_j = hi_j.astype(np.int32)
+        self._partition()
+
+    def _partition(self) -> None:
+        """Every row's downstream run and upstream-nonempty flag.
+
+        The candidates τk of row (τi, τj) are τj's own rows (τj, τk).  On
+        τj's route, a τk whose cd with τj overlaps cd_ij shares that link
+        with τi, so it is in S^D_i and in neither set; the others are
+        members of ``S^I_i ∩ S^D_j`` unless τk ∈ S^D_i, which a dense
+        boolean block over the chunk's rows answers.  Rows are taken in
+        chunks of at most :data:`_CANDIDATE_CHUNK` candidates.
+        """
+        offsets, pair_i, pair_j = self.pair_offsets, self.pair_i, self.pair_j
+        lo_i, hi_i = self.pair_lo_i, self.pair_hi_i
+        n = len(offsets) - 1
+        num_pairs = len(pair_j)
+        cand_lens = np.diff(offsets)[pair_j]
+        pair_cands = np.zeros(num_pairs + 1, dtype=np.int64)
+        np.cumsum(cand_lens, out=pair_cands[1:])
+        row_cands = pair_cands[offsets]
+        max_rows = max(1, _CANDIDATE_CHUNK // max(n, 1))
+        down_parts = []
+        down_counts = np.zeros(num_pairs, dtype=np.int64)
+        up_nonempty = np.zeros(num_pairs, dtype=bool)
+        stop = 0
+        while stop < n:
+            start = stop
+            stop = int(np.searchsorted(
+                row_cands, row_cands[start] + _CANDIDATE_CHUNK, side="right"
+            )) - 1
+            stop = min(max(stop, start + 1), start + max_rows, n)
+            p0, p1 = int(offsets[start]), int(offsets[stop])
+            lens = cand_lens[p0:p1]
+            cand, _ = _gather_segments(offsets[pair_j[p0:p1]], lens)
+            if not cand.size:
+                continue
+            owner = np.repeat(np.arange(p0, p1), lens)
+            after = lo_i[cand] > np.repeat(self.pair_hi_j[p0:p1], lens)
+            before = hi_i[cand] < np.repeat(self.pair_lo_j[p0:p1], lens)
+            outside = np.flatnonzero(after | before)
+            direct = np.zeros((stop - start, n), dtype=bool)
+            direct[pair_i[p0:p1] - start, pair_j[p0:p1]] = True
+            owner_out = owner[outside]
+            member = ~direct[pair_i[owner_out] - start, pair_j[cand[outside]]]
+            down = outside[member & after[outside]]
+            down_parts.append(cand[down].astype(np.int32))
+            down_counts[p0:p1] = np.bincount(owner[down] - p0,
+                                             minlength=p1 - p0)
+            up_nonempty[owner_out[member & before[outside]]] = True
+        self.down_offsets = np.zeros(num_pairs + 1, dtype=np.int64)
+        np.cumsum(down_counts, out=self.down_offsets[1:])
+        self.down_pair = np.concatenate(
+            [np.empty(0, dtype=np.int32), *down_parts]
+        )
+        self.up_nonempty = up_nonempty
 
     def _raise_not_contiguous(self, a: int, b: int) -> None:
         raise ValueError(
@@ -190,15 +249,15 @@ class InterferenceGraph:
             "analyses require dimension-order routing"
         )
 
-    def geometry_matrices(self):
-        """Dense ``(cd_size, cd_lo, cd_hi)`` as n×n int64 numpy arrays.
-
-        The batched analysis engine (:mod:`repro.core.batch`) derives its
-        flat pair/downstream index tables from these with whole-matrix
-        algebra instead of per-pair accessor calls.  They are the arrays
-        behind the graph's own tables, so callers must not modify them.
-        """
-        return self._cd_size._matrix, self._cd_lo._matrix, self._cd_hi._matrix
+    @cached_property
+    def any_direct_upstream(self):
+        """Per row (τi, τj): does any τk ∈ S^D_j hit τj strictly upstream
+        of cd_ij on τj's route?  Only IBN's non-default
+        ``upstream_rule="any_upstream"`` ablation reads this."""
+        first_end = np.full(len(self._names), np.iinfo(np.int32).max,
+                            dtype=np.int32)
+        np.minimum.at(first_end, self.pair_i, self.pair_hi_i)
+        return first_end[self.pair_j] < self.pair_lo_j
 
     def compatible_with(self, flowset: FlowSet) -> bool:
         """Is this graph valid for ``flowset``?
@@ -218,6 +277,56 @@ class InterferenceGraph:
             and type(mine.routing) is type(theirs.routing)
         )
 
+    # -- list views for the scalar engine ------------------------------------
+
+    @cached_property
+    def _direct(self) -> list[tuple[int, ...]]:
+        cols = self.pair_j.tolist()
+        bounds = self._row_base
+        return [
+            tuple(cols[bounds[i]:bounds[i + 1]]) for i in range(len(bounds) - 1)
+        ]
+
+    @cached_property
+    def _row_base(self) -> list[int]:
+        return self.pair_offsets.tolist()
+
+    @cached_property
+    def _sizes(self) -> list[int]:
+        return self.pair_size.tolist()
+
+    @cached_property
+    def downstream_runs(self) -> list[tuple[int, ...]]:
+        """``S^{down_j}_{I_i}`` of every pair-table row, as index tuples."""
+        ks = self.pair_j[self.down_pair].tolist()
+        bounds = self.down_offsets.tolist()
+        return [
+            tuple(ks[bounds[p]:bounds[p + 1]]) for p in range(len(bounds) - 1)
+        ]
+
+    @cached_property
+    def upstream_flags(self) -> list[bool]:
+        """Is ``S^{up_j}_{I_i}`` nonempty, per pair-table row."""
+        return self.up_nonempty.tolist()
+
+    @cached_property
+    def direct_masks(self) -> list[int]:
+        """Per-flow ``S^D_i`` as integer bitmasks over flow *indices*.
+
+        Lets the engine test "does τi directly depend on any flow in this
+        set?" with one ``&`` against another index bitmask (taint
+        propagation); shared by every analysis using this graph.
+        """
+        n = len(self._names)
+        width = (n + 7) // 8
+        packed = np.zeros((n, width), dtype=np.uint8)
+        # Each (τi, τj) is one distinct bit, so adding sets it.
+        np.add.at(
+            packed, (self.pair_i, self.pair_j >> 3),
+            np.left_shift(1, self.pair_j & 7).astype(np.uint8),
+        )
+        return [int.from_bytes(bits.tobytes(), "little") for bits in packed]
+
     # -- basic geometry -------------------------------------------------------
 
     def index(self, name: str) -> int:
@@ -228,9 +337,18 @@ class InterferenceGraph:
         """Flow name at a priority-order index."""
         return self._names[index]
 
+    def pair_row(self, i: int, j: int) -> int:
+        """Pair-table row of (τi, τj) for ``j < i``; -1 when disjoint."""
+        row = self._direct[i]
+        pos = bisect_left(row, j)
+        if pos < len(row) and row[pos] == j:
+            return self._row_base[i] + pos
+        return -1
+
     def cd_size_by_index(self, i: int, j: int) -> int:
         """``|cd_ij|`` — number of shared links (0 when disjoint)."""
-        return self._cd_size[i][j]
+        p = self.pair_row(i, j) if i > j else self.pair_row(j, i)
+        return self._sizes[p] if p >= 0 else 0
 
     def cd_size(self, name_i: str, name_j: str) -> int:
         """``|cd_ij|`` by flow names."""
@@ -243,9 +361,9 @@ class InterferenceGraph:
         depths); the homogeneous fast path only uses
         :meth:`cd_size_by_index`.
         """
-        if self._cd_size[i][j] == 0:
+        if self.cd_size_by_index(i, j) == 0:
             return ()
-        lo, hi = self._cd_lo[i][j], self._cd_hi[i][j]
+        lo, hi = self.cd_span_on(i, j)
         return tuple(self._routes[i][lo - 1:hi])
 
     def cd_links(self, name_i: str, name_j: str) -> tuple[int, ...]:
@@ -257,12 +375,15 @@ class InterferenceGraph:
 
         Raises ``ValueError`` when the two routes are disjoint.
         """
-        lo = self._cd_lo[on][other]
-        if lo == 0:
+        if on > other:
+            p, lo, hi = self.pair_row(on, other), self.pair_lo_i, self.pair_hi_i
+        else:
+            p, lo, hi = self.pair_row(other, on), self.pair_lo_j, self.pair_hi_j
+        if p < 0:
             raise ValueError(
                 f"flows {self._names[on]!r} and {self._names[other]!r} share no links"
             )
-        return lo, self._cd_hi[on][other]
+        return int(lo[p]), int(hi[p])
 
     # -- interference sets ------------------------------------------------------
 
@@ -279,26 +400,7 @@ class InterferenceGraph:
         lower-priority flit on each of these links.  Precomputed in
         :meth:`_build` from each link's lowest-priority user.
         """
-        return self._lower_shared_counts[i]
-
-    @property
-    def updown_cache(self) -> dict:
-        """The (i, j) → (upstream, downstream) partition memo table.
-
-        Exposed read-mostly so the per-pair analysis code can probe it
-        without a method call; fill misses via :meth:`updown_partition`.
-        """
-        return self._updown_cache
-
-    @property
-    def direct_masks(self) -> list[int]:
-        """Per-flow ``S^D_i`` as integer bitmasks over flow *indices*.
-
-        Lets the engine test "does τi directly depend on any flow in this
-        set?" with one ``&`` against another index bitmask (taint
-        propagation); shared by every analysis using this graph.
-        """
-        return self._direct_masks
+        return int(self.lower_counts[i])
 
     def direct(self, name: str) -> tuple[str, ...]:
         """``S^D_i`` by flow names."""
@@ -306,7 +408,7 @@ class InterferenceGraph:
 
     def indirect_by_index(self, i: int) -> tuple[int, ...]:
         """``S^I_i``: flows interfering with ``S^D_i`` members but not τi."""
-        direct = self._direct_masks[i]
+        direct = self.direct_masks[i]
         indirect = {
             k
             for j in self._direct[i]
@@ -328,74 +430,24 @@ class InterferenceGraph:
         ``S^I_i ∩ S^D_j`` is upstream when its last shared link with τj
         comes before the first link of ``cd_ij`` on τj's route, downstream
         when its first shared link comes after the last link of ``cd_ij``.
+        The downstream run is the pair table's; the upstream set, which
+        only XLW16 and the explain report list, is derived here.
         """
-        cached = self._updown_cache.get((i, j))
-        if cached is not None:
-            return cached
-        if not self._direct_masks[i] >> j & 1:
+        p = self.pair_row(i, j) if i > j else -1
+        if p < 0:
             raise ValueError(
                 f"{self._names[j]!r} is not a direct interferer of {self._names[i]!r}"
             )
-        return self.updown_partition(i, j)
-
-    def updown_partition(
-        self, i: int, j: int
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """:meth:`updown_by_index` without the direct-membership check.
-
-        The engine's analyses call this on every direct (i, j) pair —
-        validity is guaranteed by construction there — after first
-        probing the memo table themselves (bound on the
-        :class:`~repro.core.analyses.base.AnalysisContext`).  Empty
-        partitions are memoized too, so repeat queries cost one dict hit.
-        """
-        cached = self._updown_cache.get((i, j))
-        if cached is not None:
-            return cached
-        masks = self._direct_masks
-        members = masks[j] & ~(masks[i] | (1 << i))
-        if not members:
-            result: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-            self._updown_cache[(i, j)] = result
-            return result
-        return self._updown_fill(i, j, members)
-
-    def _updown_fill(
-        self, i: int, j: int, members: int
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Compute and cache the partition for a known-direct (i, j) pair.
-
-        ``members`` is ``S^I_i ∩ S^D_j`` as an index bitmask (direct
-        interferers of τj that are neither direct interferers of τi nor τi
-        itself) — iterating its set bits (ascending, matching the ordering
-        of ``S^D_j``) visits only the usually-few members instead of
-        scanning all of ``S^D_j``.
-        """
-        lo_row = self._cd_lo[j]
-        hi_row = self._cd_hi[j]
-        cd_lo = lo_row[i]
-        cd_hi = hi_row[i]
-        upstream: list[int] = []
-        downstream: list[int] = []
-        while members:
-            low_bit = members & -members
-            k = low_bit.bit_length() - 1
-            members ^= low_bit
-            if hi_row[k] < cd_lo:
-                upstream.append(k)
-            elif lo_row[k] > cd_hi:
-                downstream.append(k)
-            else:
-                raise AssertionError(
-                    f"flow {self._names[k]!r} overlaps cd("
-                    f"{self._names[i]!r}, {self._names[j]!r}) on "
-                    f"{self._names[j]!r}'s route yet is not a direct "
-                    f"interferer of {self._names[i]!r}; contention domains "
-                    "are inconsistent"
-                )
-        result = (tuple(upstream), tuple(downstream))
-        self._updown_cache[(i, j)] = result
-        return result
+        upstream = ()
+        if self.upstream_flags[p]:
+            q0, q1 = self._row_base[j], self._row_base[j + 1]
+            before = self.pair_hi_i[q0:q1] < self.pair_lo_j[p]
+            direct = self.direct_masks[i]
+            upstream = tuple(
+                k for k in self.pair_j[q0:q1][before].tolist()
+                if not direct >> k & 1
+            )
+        return upstream, self.downstream_runs[p]
 
     def upstream(self, name_i: str, name_j: str) -> tuple[str, ...]:
         """``S^{up_j}_{I_i}`` by flow names."""

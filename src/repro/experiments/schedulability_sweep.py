@@ -455,7 +455,13 @@ def _sched_params(spec: CampaignSpec) -> dict:
 
 
 def _sched_plan(spec: CampaignSpec) -> Plan:
-    """Expand a sweep spec into (point, set-chunk) jobs, point-major."""
+    """Expand a sweep spec into (point, set-chunk) jobs, point-major.
+
+    Jobs are listed heaviest point (most flows) first, so the last
+    blocks a pool hands out are the cheap ones and no worker idles
+    behind a straggler; ``context`` keeps the points in x-axis order
+    for aggregation.
+    """
     p = _sched_params(spec)
     cols, rows = p["mesh"]
     sets_per_point = p["sets_per_point"]
@@ -486,8 +492,11 @@ def _sched_plan(spec: CampaignSpec) -> Plan:
                 )
             )
         point_jobs.append(chunks)
+    heaviest_first = sorted(
+        range(len(point_jobs)), key=lambda point: -p["flow_counts"][point]
+    )
     return Plan(
-        jobs=[job for chunks in point_jobs for job in chunks],
+        jobs=[job for point in heaviest_first for job in point_jobs[point]],
         context=point_jobs,
     )
 

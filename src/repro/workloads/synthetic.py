@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.flows.flow import Flow
 from repro.flows.flowset import FlowSet
-from repro.flows.priority import rate_monotonic
 from repro.noc.platform import NoCPlatform
 from repro.util.rng import spawn_rng
 
@@ -79,7 +78,7 @@ def synthetic_flows(
         raise ValueError("need at least two nodes for src != dst traffic")
     period_lo = config.period_min_s * config.clock_hz
     period_hi = config.period_max_s * config.clock_hz
-    flows: list[Flow] = []
+    draws: list[tuple[int, str, int, int, int]] = []
     for index in range(config.num_flows):
         if config.log_uniform_periods:
             period = int(
@@ -96,19 +95,26 @@ def synthetic_flows(
             dst = int(rng.integers(num_nodes - 1))
             if dst >= src:
                 dst += 1
-        flows.append(
-            Flow(
-                name=f"f{index}",
-                priority=index + 1,  # placeholder; replaced by RM below
-                period=period,
-                deadline=period,
-                jitter=0,
-                length=length,
-                src=src,
-                dst=dst,
-            )
+        draws.append((period, f"f{index}", length, src, dst))
+    # Rate-monotonic order, as rate_monotonic's (period, deadline, name)
+    # key with deadline == period; each Flow is built once, with its
+    # final priority.
+    draws.sort(key=lambda draw: (draw[0], draw[1]))
+    return [
+        Flow(
+            name=name,
+            priority=level,
+            period=period,
+            deadline=period,
+            jitter=0,
+            length=length,
+            src=src,
+            dst=dst,
         )
-    return rate_monotonic(flows)
+        for level, (period, name, length, src, dst) in enumerate(
+            draws, start=1
+        )
+    ]
 
 
 def synthetic_flowset(

@@ -25,6 +25,28 @@ class TestExpansion:
         assert [job.job_id for job in a] == [job.job_id for job in b]
         assert len(a) == 8
 
+    def test_heaviest_point_first(self):
+        """Jobs list the points by descending flow count (ties keep x
+        order) while the aggregation context keeps x order."""
+        from repro.campaigns import registry
+
+        spec = schedulability_spec(
+            (4, 4), [40, 100, 60, 100], 4, seed=7, chunk_size=2
+        )
+        plan = registry.get_kind(spec.kind).plan(spec)
+        assert [job.params["num_flows"] for job in plan.jobs] == [
+            100, 100, 100, 100, 60, 60, 40, 40
+        ]
+        assert [job.params["set_start"] for job in plan.jobs] == [0, 2] * 4
+        assert [
+            [job.params["num_flows"] for job in chunks]
+            for chunks in plan.context
+        ] == [[40, 40], [100, 100], [60, 60], [100, 100]]
+        again = registry.get_kind(spec.kind).plan(spec)
+        assert [job.job_id for job in again.jobs] == [
+            job.job_id for job in plan.jobs
+        ]
+
     def test_duplicate_points_share_content_address(self):
         jobs = expand_jobs(small_spec(flow_counts=(50, 50)))
         assert len(jobs) == 8

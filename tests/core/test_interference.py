@@ -9,6 +9,7 @@ from repro.flows.flow import Flow
 from repro.flows.flowset import FlowSet
 from repro.flows.priority import rate_monotonic
 from repro.noc.platform import NoCPlatform
+from repro.noc.routing import RoutingFunction
 from repro.noc.topology import Mesh2D
 from repro.util.rng import spawn_rng
 from repro.workloads.synthetic import SyntheticConfig, synthetic_flows
@@ -80,6 +81,44 @@ class TestUpstreamScenario:
         assert graph.downstream("ti", "tj") == ()
 
 
+class _TableRouting(RoutingFunction):
+    """Routes read from a fixed ``(src, dst) -> links`` table."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def compute_route(self, topology, src, dst):
+        return self.table[(src, dst)]
+
+    def next_output(self, topology, router, dst):
+        raise NotImplementedError("table routes are never simulated")
+
+
+class TestSharedInterfererOffTheRoute:
+    """τk meets τj downstream of cd_ij but also shares a link with τi
+    away from τj's route: it is a direct interferer of τi, so it is
+    neither upstream nor downstream of (τi, τj)."""
+
+    @pytest.fixture
+    def graph(self):
+        routing = _TableRouting({(0, 1): (1, 2, 3, 4), (2, 3): (1, 5),
+                                 (4, 5): (5, 3)})
+        platform = NoCPlatform(Mesh2D(3, 2), buf=2, routing=routing)
+        return InterferenceGraph(FlowSet(platform, [
+            Flow("tk", priority=1, period=100, length=8, src=4, dst=5),
+            Flow("tj", priority=2, period=100, length=8, src=0, dst=1),
+            Flow("ti", priority=3, period=100, length=8, src=2, dst=3),
+        ]))
+
+    def test_direct_interferer_is_not_indirect(self, graph):
+        assert graph.direct("ti") == ("tk", "tj")
+        assert graph.direct("tj") == ("tk",)
+        assert graph.indirect("ti") == ()
+        assert graph.upstream("ti", "tj") == ()
+        assert graph.downstream("ti", "tj") == ()
+
+
 class TestStructuralProperties:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -111,6 +150,27 @@ class TestStructuralProperties:
                 expected = indirect & set(graph.direct_by_index(j))
                 assert members == expected
                 assert not (set(up) & set(down))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(3, 60), st.integers(0, 10**6))
+    def test_any_direct_upstream_flags(self, n, seed):
+        """The "any_upstream" ablation's per-pair flags equal a scan of
+        every τk ∈ S^D_j for a cd with τj ending before cd_ij starts."""
+        platform = NoCPlatform(Mesh2D(4, 4), buf=2)
+        rng = spawn_rng(seed, "any-upstream")
+        flows = synthetic_flows(
+            SyntheticConfig(num_flows=n), platform.topology.num_nodes, rng
+        )
+        graph = InterferenceGraph(FlowSet(platform, flows))
+        for i in range(n):
+            for j in graph.direct_by_index(i):
+                cd_lo, _ = graph.cd_span_on(j, i)
+                expected = any(
+                    graph.cd_span_on(j, k)[1] < cd_lo
+                    for k in graph.direct_by_index(j)
+                )
+                row = graph.pair_row(i, j)
+                assert bool(graph.any_direct_upstream[row]) == expected
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(3, 20), st.integers(0, 10**6))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.flows.flow import Flow
 from repro.flows.flowset import FlowSet
+from repro.flows.priority import rate_monotonic
 from repro.noc.platform import NoCPlatform
 from repro.noc.topology import Mesh2D
 from repro.util.rng import spawn_rng
@@ -113,3 +115,69 @@ class TestDeterminism:
         fs = synthetic_flowset(platform4x4, SyntheticConfig(num_flows=5), seed=1)
         assert isinstance(fs, FlowSet)
         assert len(fs) == 5
+
+
+def _placeholder_then_rate_monotonic(config, num_nodes, rng):
+    """The generator as it was: draw flows with placeholder priorities in
+    draw order, then assign priorities with :func:`rate_monotonic`."""
+    period_lo = config.period_min_s * config.clock_hz
+    period_hi = config.period_max_s * config.clock_hz
+    flows = []
+    for index in range(config.num_flows):
+        if config.log_uniform_periods:
+            period = int(
+                np.exp(rng.uniform(np.log(period_lo), np.log(period_hi)))
+            )
+        else:
+            period = int(rng.uniform(period_lo, period_hi))
+        period = max(period, 1)
+        length = int(rng.integers(config.length_min, config.length_max + 1))
+        src = int(rng.integers(num_nodes))
+        if config.allow_self_traffic:
+            dst = int(rng.integers(num_nodes))
+        else:
+            dst = int(rng.integers(num_nodes - 1))
+            if dst >= src:
+                dst += 1
+        flows.append(Flow(name=f"f{index}", priority=index + 1,
+                          period=period, deadline=period, jitter=0,
+                          length=length, src=src, dst=dst))
+    return rate_monotonic(flows)
+
+
+#: (config, node count) draws: the paper's defaults, log-uniform periods,
+#: self traffic, and two ranges where many or all periods tie.
+_REFERENCE_CONFIGS = [
+    (SyntheticConfig(num_flows=40), 16),
+    (SyntheticConfig(num_flows=25, log_uniform_periods=True), 64),
+    (SyntheticConfig(num_flows=30, allow_self_traffic=True), 4),
+    (SyntheticConfig(num_flows=20, period_min_s=1e-3, period_max_s=1e-3), 9),
+    (SyntheticConfig(num_flows=50, period_min_s=1e-6, period_max_s=4e-6), 16),
+]
+
+
+class TestRateMonotonicReference:
+    @pytest.mark.parametrize("config, nodes", _REFERENCE_CONFIGS)
+    def test_equals_rate_monotonic_over_placeholder_flows(self, config, nodes):
+        """Flows built once with their final priority equal the old
+        placeholder-then-:func:`rate_monotonic` flows, and the RNG ends in
+        the same state, over 48 seeds per config (240 draws)."""
+        for seed in range(48):
+            rng = spawn_rng(seed, "rm-reference", config.num_flows)
+            reference_rng = spawn_rng(seed, "rm-reference", config.num_flows)
+            flows = synthetic_flows(config, nodes, rng)
+            reference = _placeholder_then_rate_monotonic(
+                config, nodes, reference_rng
+            )
+            assert flows == reference
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_tied_periods_order_by_name_as_strings(self):
+        config = SyntheticConfig(
+            num_flows=12, period_min_s=1e-3, period_max_s=1e-3
+        )
+        flows = synthetic_flows(config, 16, spawn_rng(1, "ties"))
+        assert len({f.period for f in flows}) == 1
+        # "f10" < "f11" < "f2": names compare as strings.
+        assert [f.name for f in flows][:4] == ["f0", "f1", "f10", "f11"]
+        assert [f.priority for f in flows] == list(range(1, 13))
