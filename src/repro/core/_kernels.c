@@ -8,7 +8,10 @@
  *   repro_run_levels — the batch engine's whole level loop (window
  *     jitters, downstream terms, ceiling-recurrence fixed points,
  *     totals, taint, retirement); the C twin of the numpy loop in
- *     repro.core.batch._run_batch.
+ *     repro.core.batch._run_batch.  Its index columns are narrow, as
+ *     the batch stacks them: pair_j_slot and down_pair are int32,
+ *     pair_mode is int8, and a downstream entry's τk is read through
+ *     its own row, pair_j_slot[down_pair[d]].
  *
  *   repro_sim_run — the wormhole simulator's event loop (arrivals,
  *     credits, wakes, releases, per-link priority arbitration,
@@ -30,7 +33,7 @@
 #include <stdint.h>
 #include <stddef.h>
 
-#define REPRO_KERNELS_ABI 2
+#define REPRO_KERNELS_ABI 3
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -75,14 +78,13 @@ REPRO_EXPORT void repro_run_levels(
     const int64_t *slot_scn,            /* per slot: scenario index */
     const int64_t *slot_counts,         /* per level-major position */
     const int64_t *level_pair_bounds,   /* max_f+1 (or more) */
-    const int64_t *pair_j_slot,         /* level-major */
-    const int64_t *pair_mode,
+    const int32_t *pair_j_slot,         /* level-major */
+    const int8_t *pair_mode,
     const uint8_t *pair_fallback,
     const int64_t *pair_bi,
     const uint8_t *pair_use_bound,
     const int64_t *down_offsets,        /* npairs+1 */
-    const int64_t *down_pair,
-    const int64_t *down_k_slot,
+    const int32_t *down_pair,           /* level-major (τj, τk) rows */
     const int64_t *C, const int64_t *T, const int64_t *J, const int64_t *D,
     const int64_t *BLK, const int64_t *WARM, const int64_t *GIVE,
     int64_t *R, uint8_t *CONV, uint8_t *TAINT, int64_t *BAD,
@@ -130,10 +132,11 @@ REPRO_EXPORT void repro_run_levels(
                         const int64_t bi = pair_bi[q];
                         down = 0;
                         for (int64_t d = d0; d < d1; d++) {
-                            const int64_t k = down_k_slot[d];
+                            const int64_t row = down_pair[d];
+                            const int64_t k = pair_j_slot[row];
                             const int64_t hits =
                                 ceil_div_i64(r_j + J[k], T[k]);
-                            int64_t per_hit = hitcost[down_pair[d]];
+                            int64_t per_hit = hitcost[row];
                             if (use_bound && bi < per_hit) per_hit = bi;
                             down += hits * per_hit;
                         }

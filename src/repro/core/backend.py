@@ -69,6 +69,22 @@ class NumpyBackend(Backend):
     name = "numpy"
 
 
+_I64, _I32, _I8, _BOOL = _np.int64, _np.int32, _np.int8, _np.bool_
+
+#: ``repro_run_levels``' array arguments in C order, by dtype.
+_RUN_LEVELS_DTYPES = (
+    _I64,                                 # lparams
+    _I64, _I64, _I64, _I64, _I64,         # level_slot_bounds .. slot_counts,
+                                          # level_pair_bounds
+    _I32, _I8, _BOOL, _I64, _BOOL,        # pair_j_slot .. pair_use_bound
+    _I64, _I32,                           # down_offsets, down_pair
+    _I64, _I64, _I64, _I64, _I64, _I64, _I64,  # C T J D BLK WARM GIVE
+    _I64, _BOOL, _BOOL, _I64, _I64, _I64,  # R CONV TAINT BAD totals hitcost
+    _BOOL, _BOOL, _I64, _I64,             # stopped .. iterations
+    _I64, _I64, _I64,                     # scr_wj scr_T scr_cost
+)
+
+
 class CextBackend(Backend):
     """C kernels from ``_kernels.c``, loaded via ctypes on first use.
 
@@ -113,7 +129,10 @@ class CextBackend(Backend):
     def _declare(self) -> None:
         lib = self._lib
         lib.repro_run_levels.restype = None
-        lib.repro_run_levels.argtypes = [c_void_p] * 34
+        lib.repro_run_levels.argtypes = [
+            _np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+            for dtype in _RUN_LEVELS_DTYPES
+        ]
         lib.repro_sim_run.restype = c_int64
         lib.repro_sim_run.argtypes = [c_void_p] * 47
 
@@ -123,7 +142,7 @@ class CextBackend(Backend):
         self, *, max_f, early_exit,
         level_slot_bounds, slot_perm, slot_scn, slot_counts,
         level_pair_bounds, pair_j_slot, pair_mode, pair_fallback,
-        pair_bi, pair_use_bound, down_offsets, down_pair, down_k_slot,
+        pair_bi, pair_use_bound, down_offsets, down_pair,
         C, T, J, D, BLK, WARM, GIVE,
         R, CONV, TAINT, BAD, totals, hitcost,
         stopped, diverted, last_level, iterations,
@@ -133,7 +152,10 @@ class CextBackend(Backend):
         Mutates the dynamic-state arrays (``R``/``CONV``/``TAINT``/
         ``BAD``/``totals``/``hitcost``/``stopped``/``diverted``/
         ``last_level``/``iterations``) in place, byte-identically to the
-        numpy loop.
+        numpy loop.  Every argument is a C-contiguous array of the dtype
+        :data:`_RUN_LEVELS_DTYPES` gives it (ctypes rejects any other):
+        int64 throughout, except int32 ``pair_j_slot`` and
+        ``down_pair``, int8 ``pair_mode`` and the boolean flags.
         """
         from repro.core.batch import _MAX_ITERATIONS, _SAFE_RESPONSE
 
@@ -148,13 +170,13 @@ class CextBackend(Backend):
         arrays = (
             lparams, level_slot_bounds, slot_perm, slot_scn, slot_counts,
             level_pair_bounds, pair_j_slot, pair_mode, pair_fallback,
-            pair_bi, pair_use_bound, down_offsets, down_pair, down_k_slot,
+            pair_bi, pair_use_bound, down_offsets, down_pair,
             C, T, J, D, BLK, WARM, GIVE,
             R, CONV, TAINT, BAD, totals, hitcost,
             stopped, diverted, last_level, iterations,
             scr_wj, scr_T, scr_cost,
         )
-        self._lib.repro_run_levels(*[a.ctypes.data for a in arrays])
+        self._lib.repro_run_levels(*arrays)
 
     # -- kernel: simulator event loop --------------------------------------
 

@@ -62,12 +62,18 @@ from repro.core.engine import (
     _timing_equal,
     analyze,
 )
-from repro.core.interference import InterferenceGraph, _gather_segments
+from repro.core.interference import (
+    _CANDIDATE_CHUNK,
+    InterferenceGraph,
+    _gather_segments,
+)
 from repro.flows.flowset import FlowSet
 
 #: Iterates beyond this divert the scenario to the scalar engine before
 #: int64 products could overflow (Python ints are unbounded there).
 _SAFE_RESPONSE = 1 << 59
+#: Largest flow slot or pair row a batch may number: both are int32.
+_INDEX_MAX = _np.iinfo(_np.int32).max
 #: Per-recurrence iteration budget; must match
 #: :func:`repro.util.mathx.fixed_point` so diverted scenarios report the
 #: same ``FixedPointDiverged`` outcome through the scalar replay.
@@ -390,6 +396,50 @@ def analyze_batch(
     return results  # type: ignore[return-value]
 
 
+def _stack_down_runs(plans, pair_bases, inv_pperm, down_lens_sm,
+                     down_offsets):
+    """Every scenario's downstream runs, stacked level-major as int32.
+
+    An entry holds the level-major row of its (τj, τk) pair.  Stacked
+    rows are copied from their graphs to their level-major place in
+    chunks of at most :data:`~repro.core.interference._CANDIDATE_CHUNK`
+    entries (a chunk may span scenarios), so no index or value array
+    spans the whole batch.
+    """
+    total_pairs = len(inv_pperm)
+    entry_sm = _np.zeros(total_pairs + 1, dtype=_np.int64)
+    _np.cumsum(down_lens_sm, out=entry_sm[1:])
+    down_pair = _np.empty(int(entry_sm[-1]), dtype=_np.int32)
+    bases = pair_bases.tolist()
+    b = 0
+    stop = 0
+    while stop < total_pairs:
+        start = stop
+        stop = int(_np.searchsorted(
+            entry_sm, entry_sm[start] + _CANDIDATE_CHUNK, side="right"
+        )) - 1
+        stop = min(max(stop, start + 1), total_pairs)
+        while bases[b + 1] <= start:
+            b += 1
+        rows = []
+        for s in range(b, len(plans)):
+            base = bases[s]
+            if base >= stop:
+                break
+            graph = plans[s].graph
+            lo = graph.down_offsets[max(start, base) - base]
+            hi = graph.down_offsets[min(stop, bases[s + 1]) - base]
+            rows.append(
+                inv_pperm[base:][graph.down_pair[lo:hi].astype(_np.intp)]
+            )
+        dest, _ = _gather_segments(
+            down_offsets[inv_pperm[start:stop]], down_lens_sm[start:stop]
+        )
+        down_pair[dest] = _np.concatenate(rows)
+        del rows, dest  # before the next chunk's, not alongside them
+    return down_pair
+
+
 def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     """The array program proper; ``None`` entries mean "divert"."""
     plans = [_build_plan(s) for s in scenarios]
@@ -422,19 +472,26 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     )
 
     # ---- flat pair arrays --------------------------------------------
-    # Each scenario's pair-table rows, offset into the flat arrays (the
-    # graph's int32 columns widen to int64 against the int64 bases).
+    # Each scenario's pair-table rows, offset into the flat arrays.  Slot
+    # and row indices stay int32, as in the graph, so the batch must
+    # number its slots and rows below 2**31.
     pair_bases = _np.zeros(B + 1, dtype=_np.int64)
     _np.cumsum(
         _np.asarray([len(p.graph.pair_i) for p in plans], dtype=_np.int64),
         out=pair_bases[1:],
     )
+    total_pairs = int(pair_bases[-1])
+    if max(total_slots, total_pairs) > _INDEX_MAX:
+        raise ValueError(
+            f"batch too large: {total_slots} flows and {total_pairs} "
+            f"interfering pairs, the limit is {_INDEX_MAX} of each"
+        )
     pair_level = _np.concatenate([p.graph.pair_i for p in plans])
     pair_j_slot = _np.concatenate(
-        [p.graph.pair_j + slot_base[b] for b, p in enumerate(plans)]
+        [p.graph.pair_j + int(slot_base[b]) for b, p in enumerate(plans)]
     )
     pair_mode = _np.concatenate(
-        [_np.full(len(p.graph.pair_i), p.mode, dtype=_np.int64)
+        [_np.full(len(p.graph.pair_i), p.mode, dtype=_np.int8)
          for p in plans]
     )
     pair_fallback = _np.concatenate(
@@ -457,9 +514,9 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         [_np.full(len(p.graph.pair_i), p.use_bound, dtype=bool)
          for p in plans]
     )
-    pperm = _np.argsort(pair_level, kind="stable")
+    pperm = _np.argsort(pair_level, kind="stable").astype(_np.int32)
     inv_pperm = _np.empty_like(pperm)
-    inv_pperm[pperm] = _np.arange(len(pperm), dtype=_np.int64)
+    inv_pperm[pperm] = _np.arange(total_pairs, dtype=_np.int32)
     pair_j_slot = pair_j_slot[pperm]
     pair_mode = pair_mode[pperm]
     pair_fallback = pair_fallback[pperm]
@@ -468,38 +525,33 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     level_pair_bounds = _np.searchsorted(
         pair_level[pperm], _np.arange(max_f + 2)
     )
+    del pair_level
     # Per-slot direct-set sizes, level-major (row segmentation).
     slot_counts = _np.concatenate(
         [_np.diff(p.graph.pair_offsets) for p in plans]
     )[slot_perm]
 
-    # ---- flat downstream arrays (regrouped to the pair permutation) ---
+    # ---- flat downstream runs, level-major ----------------------------
     down_lens_sm = _np.concatenate(
         [_np.diff(p.graph.down_offsets) for p in plans]
     )
-    down_starts_sm = _np.zeros(len(down_lens_sm), dtype=_np.int64)
-    down_pair_sm = _np.concatenate(
-        [inv_pperm[p.graph.down_pair + pair_bases[b]]
-         for b, p in enumerate(plans)]
-    )
-    _np.cumsum(down_lens_sm[:-1], out=down_starts_sm[1:])
-    gather_idx, down_offsets = _gather_segments(
-        down_starts_sm[pperm], down_lens_sm[pperm]
-    )
-    down_pair = down_pair_sm[gather_idx]
-    del down_pair_sm, gather_idx
-    # Each entry's τk is the τj column of its own (τj, τk) row.
-    down_k_slot = pair_j_slot[down_pair]
-    down_starts = down_offsets[:-1]
     down_lens = down_lens_sm[pperm]
+    del pperm
+    down_offsets = _np.zeros(total_pairs + 1, dtype=_np.int64)
+    _np.cumsum(down_lens, out=down_offsets[1:])
+    down_pair = _stack_down_runs(
+        plans, pair_bases, inv_pperm, down_lens_sm, down_offsets
+    )
+    del inv_pperm, down_lens_sm
+    down_starts = down_offsets[:-1]
 
     # ---- dynamic state ------------------------------------------------
     R = _np.zeros(total_slots, dtype=_np.int64)
     CONV = _np.zeros(total_slots, dtype=bool)
     TAINT = _np.zeros(total_slots, dtype=bool)
     BAD = _np.zeros(total_slots, dtype=_np.int64)  # ~conv | taint, 0/1
-    totals = _np.zeros(len(pperm), dtype=_np.int64)
-    hitcost = _np.zeros(len(pperm), dtype=_np.int64)
+    totals = _np.zeros(total_pairs, dtype=_np.int64)
+    hitcost = _np.zeros(total_pairs, dtype=_np.int64)
     stopped = _np.zeros(B, dtype=bool)
     diverted = _np.zeros(B, dtype=bool)
     last_level = sizes - 1
@@ -529,7 +581,6 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             pair_mode=pair_mode, pair_fallback=pair_fallback,
             pair_bi=pair_bi, pair_use_bound=pair_use_bound,
             down_offsets=down_offsets, down_pair=down_pair,
-            down_k_slot=down_k_slot,
             C=C, T=T, J=J, D=D, BLK=BLK, WARM=WARM, GIVE=GIVE,
             R=R, CONV=CONV, TAINT=TAINT, BAD=BAD, totals=totals,
             hitcost=hitcost, stopped=stopped, diverted=diverted,
@@ -559,8 +610,7 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             sel = slice(p0, p1)
             dlen = down_lens[sel]
             d0, d1 = int(down_offsets[p0]), int(down_offsets[p1])
-            dp = down_pair[d0:d1]
-            dk = down_k_slot[d0:d1]
+            dp = down_pair[d0:d1].astype(_np.intp)
         else:
             slots = slots_all[live]
             scns = scns_all[live]
@@ -573,9 +623,10 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             sel, _ = _gather_segments(p0 + prefix[:-1][live], counts)
             dlen = down_lens[sel]
             gidx, _ = _gather_segments(down_starts[sel], dlen)
-            dp = down_pair[gidx]
-            dk = down_k_slot[gidx]
-        pj = pair_j_slot[sel]
+            dp = down_pair[gidx].astype(_np.intp)
+        # The stored int32 indices widen once per level: numpy would
+        # otherwise convert them again inside every gather below.
+        pj = pair_j_slot[sel].astype(_np.intp)
         r_j = R[pj]
         wj = J[pj] + r_j - C[pj]
 
@@ -588,6 +639,8 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         if need_sum and dp.size:
             sums = _segment_sums(totals[dp], dlen)
         if need_eq8 and dp.size:
+            # Each entry's τk is the τj column of its own (τj, τk) row.
+            dk = pair_j_slot[dp].astype(_np.intp)
             hits = _ceil_div(_np.repeat(r_j, dlen) + J[dk], T[dk])
             per_hit = hitcost[dp]
             capped = _np.repeat(pair_use_bound[sel], dlen)

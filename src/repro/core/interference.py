@@ -68,9 +68,8 @@ def _gather_segments(starts, lens):
     total = int(offsets[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64), offsets
-    idx = np.repeat(starts - offsets[:-1], lens) + np.arange(
-        total, dtype=np.int64
-    )
+    idx = np.repeat(starts - offsets[:-1], lens)
+    idx += np.arange(total, dtype=np.int64)
     return idx, offsets
 
 

@@ -29,53 +29,49 @@ with 429 + ``Retry-After`` instead of collapsing — see the "Sharded
 serving" section of DESIGN.md.
 """
 
-from repro.serve.cache import ServeCache
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.cluster import (
-    ClusterConfig,
-    ClusterSupervisor,
-    run_cluster,
-)
-from repro.serve.http import HttpError, HttpRequest
-from repro.campaigns.pool import ResilientPool
-from repro.serve.server import ServerHandle, run_server, serve, start_in_thread
-from repro.serve.service import (
-    AnalysisService,
-    CampaignStatus,
-    ServeConfig,
-    campaign_id,
-)
-from repro.serve.stored import (
-    HashRing,
-    RemoteStore,
-    StoreClient,
-    StoreDaemon,
-    StoreUnavailable,
-    run_stored,
-)
+import importlib
 
-__all__ = [
-    "AnalysisService",
-    "CampaignStatus",
-    "ClusterConfig",
-    "ClusterSupervisor",
-    "HashRing",
-    "HttpError",
-    "HttpRequest",
-    "RemoteStore",
-    "ResilientPool",
-    "ServeCache",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServerHandle",
-    "StoreClient",
-    "StoreDaemon",
-    "StoreUnavailable",
-    "campaign_id",
-    "run_cluster",
-    "run_server",
-    "run_stored",
-    "serve",
-    "start_in_thread",
-]
+#: Where each exported name lives.  Names resolve on first access
+#: (PEP 562), so importing one submodule — the campaign registry loads
+#: :mod:`repro.serve.jobs` — does not load the server, cluster, client
+#: and store stacks, with asyncio, ssl and http.client behind them.
+_EXPORTS = {
+    "AnalysisService": "repro.serve.service",
+    "CampaignStatus": "repro.serve.service",
+    "ClusterConfig": "repro.serve.cluster",
+    "ClusterSupervisor": "repro.serve.cluster",
+    "HashRing": "repro.serve.stored",
+    "HttpError": "repro.serve.http",
+    "HttpRequest": "repro.serve.http",
+    "RemoteStore": "repro.serve.stored",
+    "ResilientPool": "repro.campaigns.pool",
+    "ServeCache": "repro.serve.cache",
+    "ServeClient": "repro.serve.client",
+    "ServeConfig": "repro.serve.service",
+    "ServeError": "repro.serve.client",
+    "ServerHandle": "repro.serve.server",
+    "StoreClient": "repro.serve.stored",
+    "StoreDaemon": "repro.serve.stored",
+    "StoreUnavailable": "repro.serve.stored",
+    "campaign_id": "repro.serve.service",
+    "run_cluster": "repro.serve.cluster",
+    "run_server": "repro.serve.server",
+    "run_stored": "repro.serve.stored",
+    "serve": "repro.serve.server",
+    "start_in_thread": "repro.serve.server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -32,7 +32,7 @@ from repro.experiments.schedulability_sweep import (
 from repro.flows.flow import Flow
 from repro.flows.flowset import FlowSet
 from repro.noc.platform import NoCPlatform
-from repro.noc.topology import Mesh2D
+from repro.noc.topology import Mesh2D, chain
 from repro.util.rng import spawn_rng
 from repro.workloads.synthetic import SyntheticConfig, synthetic_flows
 
@@ -233,6 +233,36 @@ class TestFallbacks:
             analyze(flowset, XLW16Analysis(), stop_at_deadline=False),
         )
         assert report.scalar_fallbacks == [0]
+
+    @pytest.mark.parametrize(
+        "analysis", [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()],
+        ids=lambda analysis: type(analysis).__name__,
+    )
+    def test_diversion_mid_batch_leaves_the_rest_on_the_array_path(
+        self, analysis, didactic2, didactic10
+    ):
+        """A middle scenario's recurrence runs away and goes to the
+        scalar engine; the scenarios beside it finish in the batch."""
+        overloaded = FlowSet(
+            NoCPlatform(chain(3), buf=2),
+            [
+                Flow("hi", priority=1, period=100, length=57, src=0, dst=2),
+                Flow("mid", priority=2, period=100, length=57, src=0, dst=2),
+                Flow("lo", priority=3, period=10**6, length=50, src=0, dst=2),
+            ],
+        )
+        flowsets = [didactic2, overloaded, didactic10]
+        report = BatchReport(len(flowsets))
+        results = analyze_batch(
+            [Scenario(flowset, analysis) for flowset in flowsets],
+            stop_at_deadline=False,
+            report=report,
+        )
+        for flowset, result in zip(flowsets, results):
+            _assert_results_equal(
+                result, analyze(flowset, analysis, stop_at_deadline=False)
+            )
+        assert report.scalar_fallbacks == [1]
 
     def test_report_size_mismatch_rejected(self):
         flowset = _random_flowset(5, 4)
