@@ -4,15 +4,19 @@ Measurements (shared with ``record_engine_bench.py``, which stores
 them as the ``backend`` block of BENCH_engine.json):
 
 * **kernel_b256** — a B = 256 batch of 96-flow log-uniform-period sets
-  through :func:`~repro.core.batch.analyze_batch` under each available
-  backend.  Log-uniform periods make the fixed points iterate for real
-  (uniform periods converge in a step or two, leaving nothing for a
-  compiled loop to win); candidate sets whose recurrences overrun into
-  the scalar-diversion valve are filtered out up front, because a
-  diverted scenario runs the identical pure-Python engine under every
-  backend and would only dilute the kernel comparison.  Graphs and
-  batch structures are warmed before timing so the comparison isolates
-  the level loop, and the gate gates on process-CPU time.
+  under each available backend.  Log-uniform periods make the fixed
+  points iterate for real (uniform periods converge in a step or two,
+  leaving nothing for a compiled loop to win); candidate sets whose
+  recurrences overrun into the scalar-diversion valve are filtered out
+  up front, because a diverted scenario runs the identical pure-Python
+  engine under every backend and would only dilute the kernel
+  comparison.  The gate isolates the wave loop: it composes the batch
+  once, then times :func:`repro.core.batch._run_levels` and the
+  compiled ``run_levels`` on fresh copies of the dynamic state
+  (``loop_cpu_speedup``).  Whole :func:`~repro.core.batch.analyze_batch`
+  calls, whose composition and materialisation cost the same on every
+  backend, are recorded beside it as ``cpu_speedup``, ungated.  Both
+  are best-of-7 process-CPU times.
 * **sim_8x8** — the 8×8 periodic wormhole run under each backend
   (cycles/s), with the end times cross-checked for byte-identity.
 
@@ -31,6 +35,7 @@ import time
 import pytest
 
 from repro.core import backend as backend_mod
+from repro.core import batch as batch_mod
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.core.batch import BatchReport, Scenario, analyze_batch
 from repro.core.interference import InterferenceGraph
@@ -101,23 +106,44 @@ def _kernel_scenarios() -> list[Scenario]:
     ]
 
 
+def _best_loop_cpu(run_levels, composed, reps: int = 7) -> float:
+    """Best-of-N process-CPU seconds of one wave loop over the composed
+    batch, each repetition on fresh dynamic state."""
+    best = float("inf")
+    for _ in range(reps):
+        state = composed.fresh_state()
+        c0 = time.process_time()
+        run_levels(early_exit=False, **composed.arrays, **state)
+        best = min(best, time.process_time() - c0)
+    return best
+
+
 def kernel_metrics() -> dict:
-    """The batch recurrence loop per backend at B = 256."""
+    """The batch recurrence per backend at B = 256: whole calls, and the
+    wave loop alone."""
     scenarios = _kernel_scenarios()
     cpu: dict[str, float] = {}
     for name in backend_mod.available_backend_names():
         with backend_mod.use_backend(name):
             run = lambda: analyze_batch(scenarios, early_exit=False)  # noqa: E731
-            run()  # warm graphs, structs, numeric caches
+            run()  # warm graphs, waves, numeric caches
             cpu[name] = _best_cpu(run)
+    plans = [batch_mod._build_plan(s) for s in scenarios]
+    composed = batch_mod._compose(plans, stop_at_deadline=True)
+    loop = {"numpy": _best_loop_cpu(batch_mod._run_levels, composed)}
     block: dict = {
         "B": KERNEL_B,
         "num_flows": KERNEL_NUM_FLOWS,
         "numpy_cpu_s": round(cpu["numpy"], 4),
+        "numpy_loop_cpu_s": round(loop["numpy"], 4),
     }
     if "cext" in cpu:
+        with backend_mod.use_backend("cext") as cext:
+            loop["cext"] = _best_loop_cpu(cext.run_levels, composed)
         block["cext_cpu_s"] = round(cpu["cext"], 4)
         block["cpu_speedup"] = round(cpu["numpy"] / cpu["cext"], 2)
+        block["cext_loop_cpu_s"] = round(loop["cext"], 4)
+        block["loop_cpu_speedup"] = round(loop["numpy"] / loop["cext"], 2)
     return block
 
 
@@ -164,11 +190,11 @@ def _require_cext() -> None:
 
 
 def test_kernel_b256_speedup_gate():
-    """The compiled level loop must run the B = 256 batch ≥3x faster
+    """The compiled wave loop must run the B = 256 batch ≥3x faster
     than the numpy loop (process CPU time)."""
     _require_cext()
     block = kernel_metrics()
-    assert block["cpu_speedup"] >= 3.0, block
+    assert block["loop_cpu_speedup"] >= 3.0, block
 
 
 def test_sim_8x8_speedup_gate():

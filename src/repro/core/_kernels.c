@@ -5,13 +5,16 @@
  * construction and the equivalence suites can pin every backend to the
  * scalar oracle:
  *
- *   repro_run_levels — the batch engine's whole level loop (window
+ *   repro_run_levels — the batch engine's whole wave loop (window
  *     jitters, downstream terms, ceiling-recurrence fixed points,
- *     totals, taint, retirement); the C twin of the numpy loop in
- *     repro.core.batch._run_batch.  Its index columns are narrow, as
- *     the batch stacks them: pair_j_slot and down_pair are int32,
- *     pair_mode is int8, and a downstream entry's τk is read through
- *     its own row, pair_j_slot[down_pair[d]].
+ *     totals, taint, the early-exit/diversion frontier); the C twin of
+ *     repro.core.batch._run_levels.  Slots and pair rows arrive
+ *     wave-major (a flow's wave is one more than the deepest wave among
+ *     its direct interferers), and the loop walks the wave bounds.
+ *     Its index columns are narrow, as the batch stacks them:
+ *     pair_j_slot and down_pair are int32, pair_mode is int8, and a
+ *     downstream entry's τk is read through its own row,
+ *     pair_j_slot[down_pair[d]].
  *
  *   repro_sim_run — the wormhole simulator's event loop (arrivals,
  *     credits, wakes, releases, per-link priority arbitration,
@@ -33,7 +36,7 @@
 #include <stdint.h>
 #include <stddef.h>
 
-#define REPRO_KERNELS_ABI 3
+#define REPRO_KERNELS_ABI 4
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -53,61 +56,70 @@ static inline int64_t ceil_div_i64(int64_t a, int64_t b) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Kernel 1: the whole level loop of _run_batch in one call            */
+/* Kernel 1: the whole wave loop of _run_batch in one call             */
 /* ------------------------------------------------------------------ */
 
-/* Everything after the batch composition and before materialisation:
- * per level, per live row — window jitters, downstream terms (XLWX
- * sums / IBN Equation-8 recounts with the buffer-bound cap), the
- * fixed point, the totals cache, taint propagation, early-exit and
- * unsafe-diversion retirement.  Rows read only strictly-lower levels
- * (pair_j/down targets have higher priority), so the sequential sweep
- * is observationally identical to numpy's level-parallel one.
+/* Everything after the batch composition and before the outcomes: per
+ * wave, per live slot — window jitters, downstream terms (XLWX sums /
+ * IBN Equation-8 recounts with the buffer-bound cap), the fixed point,
+ * the totals cache, taint propagation, and the per-scenario frontier.
+ * A slot of wave w reads only its direct interferers' results (its
+ * pair_j and down targets), and they all lie in waves below w, so the
+ * sequential sweep is observationally identical to numpy's
+ * wave-parallel one.  A slot is skipped when its level is above its
+ * scenario's fail_level (lowest level that missed, under early exit)
+ * or unsafe_level (lowest level that tripped the int64/iteration
+ * valve); slot_iters records each solved slot's iterations, and the
+ * caller derives diversion, truncation and iteration totals from these
+ * three arrays.
  *
  * Modes must match repro.core.batch: SB=0, XLWX=1, IBN=2. */
 
 /* lparams[] layout (int64): */
 enum {
-    L_MAX_F = 0, L_EARLY_EXIT, L_SAFE, L_MAX_ITER, L_COUNT
+    L_NUM_WAVES = 0, L_EARLY_EXIT, L_SAFE, L_MAX_ITER, L_COUNT
 };
 
 REPRO_EXPORT void repro_run_levels(
     const int64_t *lparams,
-    const int64_t *level_slot_bounds,   /* max_f+1 (or more) */
-    const int64_t *slot_perm,           /* level-major slot ids */
+    const int64_t *wave_slot_bounds,    /* num_waves+1 */
+    const int64_t *slot_perm,           /* wave-major slot ids */
     const int64_t *slot_scn,            /* per slot: scenario index */
-    const int64_t *slot_counts,         /* per level-major position */
-    const int64_t *level_pair_bounds,   /* max_f+1 (or more) */
-    const int32_t *pair_j_slot,         /* level-major */
+    const int64_t *slot_level,          /* per slot: priority level */
+    const int64_t *slot_counts,         /* per wave-major position */
+    const int64_t *wave_pair_bounds,    /* num_waves+1 */
+    const int32_t *pair_j_slot,         /* wave-major */
     const int8_t *pair_mode,
     const uint8_t *pair_fallback,
     const int64_t *pair_bi,
     const uint8_t *pair_use_bound,
     const int64_t *down_offsets,        /* npairs+1 */
-    const int32_t *down_pair,           /* level-major (τj, τk) rows */
+    const int32_t *down_pair,           /* wave-major (τj, τk) rows */
     const int64_t *C, const int64_t *T, const int64_t *J, const int64_t *D,
     const int64_t *BLK, const int64_t *WARM, const int64_t *GIVE,
     int64_t *R, uint8_t *CONV, uint8_t *TAINT, int64_t *BAD,
     int64_t *totals, int64_t *hitcost,
-    uint8_t *stopped, uint8_t *diverted,
-    int64_t *last_level, int64_t *iterations,
+    int64_t *fail_level, int64_t *unsafe_level,  /* per scenario */
+    int64_t *slot_iters,                         /* per slot */
     int64_t *scr_wj, int64_t *scr_T, int64_t *scr_cost)  /* max row width */
 {
-    const int64_t max_f = lparams[L_MAX_F];
+    const int64_t num_waves = lparams[L_NUM_WAVES];
     const int early_exit = lparams[L_EARLY_EXIT] != 0;
     const int64_t safe_response = lparams[L_SAFE];
     const int64_t max_iterations = lparams[L_MAX_ITER];
 
-    for (int64_t level = 0; level < max_f; level++) {
-        const int64_t s1 = level_slot_bounds[level + 1];
-        int64_t p = level_pair_bounds[level];
-        for (int64_t s = level_slot_bounds[level]; s < s1; s++) {
+    for (int64_t wave = 0; wave < num_waves; wave++) {
+        const int64_t s1 = wave_slot_bounds[wave + 1];
+        int64_t p = wave_pair_bounds[wave];
+        for (int64_t s = wave_slot_bounds[wave]; s < s1; s++) {
             const int64_t slot = slot_perm[s];
             const int64_t scn = slot_scn[slot];
+            const int64_t level = slot_level[slot];
             const int64_t cnt = slot_counts[s];
             const int64_t q0 = p;
             p += cnt;
-            if (stopped[scn] || diverted[scn]) continue;
+            if (level > fail_level[scn] || level > unsafe_level[scn])
+                continue;
 
             /* Phase A: per-pair window jitter + per-hit cost. */
             for (int64_t t = 0; t < cnt; t++) {
@@ -182,8 +194,9 @@ REPRO_EXPORT void repro_run_levels(
                 if (r_new > give) { res = r_new; break; }
                 r = r_new;
             }
-            iterations[scn] += iters;
-            if (unsafe) { diverted[scn] = 1; continue; }
+            slot_iters[slot] = iters;
+            /* The skip test above leaves level below both frontiers. */
+            if (unsafe) { unsafe_level[scn] = level; continue; }
 
             /* Phase C: publish + totals + taint + early exit. */
             R[slot] = res;
@@ -198,10 +211,8 @@ REPRO_EXPORT void repro_run_levels(
             const int tainted = bad_sum > 0;
             TAINT[slot] = (uint8_t)tainted;
             BAD[slot] = (!conv) | tainted;
-            if (early_exit && !(conv && res <= D[slot])) {
-                stopped[scn] = 1;
-                last_level[scn] = level;
-            }
+            if (early_exit && !(conv && res <= D[slot]))
+                fail_level[scn] = level;
         }
     }
 }

@@ -2,9 +2,10 @@
 
 A *backend* optionally accelerates the hot loops with compiled code:
 
-* ``run_levels`` — the batch engine's whole level loop (window jitters,
-  downstream terms, fixed points, totals, taint, retirement) over the
-  level-major slot arrays :func:`repro.core.batch.analyze_batch` builds;
+* ``run_levels`` — the batch engine's whole wave loop (window jitters,
+  downstream terms, fixed points, totals, taint, the early-exit and
+  diversion frontier) over the wave-major slot arrays
+  :func:`repro.core.batch.analyze_batch` builds;
 * ``sim_run`` — the wormhole simulator's event-deque drain over the flat
   :class:`~repro.sim.network.NetworkState` arrays.
 
@@ -74,13 +75,13 @@ _I64, _I32, _I8, _BOOL = _np.int64, _np.int32, _np.int8, _np.bool_
 #: ``repro_run_levels``' array arguments in C order, by dtype.
 _RUN_LEVELS_DTYPES = (
     _I64,                                 # lparams
-    _I64, _I64, _I64, _I64, _I64,         # level_slot_bounds .. slot_counts,
-                                          # level_pair_bounds
+    _I64, _I64, _I64, _I64, _I64, _I64,   # wave_slot_bounds .. slot_counts,
+                                          # wave_pair_bounds
     _I32, _I8, _BOOL, _I64, _BOOL,        # pair_j_slot .. pair_use_bound
     _I64, _I32,                           # down_offsets, down_pair
     _I64, _I64, _I64, _I64, _I64, _I64, _I64,  # C T J D BLK WARM GIVE
     _I64, _BOOL, _BOOL, _I64, _I64, _I64,  # R CONV TAINT BAD totals hitcost
-    _BOOL, _BOOL, _I64, _I64,             # stopped .. iterations
+    _I64, _I64, _I64,                     # fail_level unsafe_level slot_iters
     _I64, _I64, _I64,                     # scr_wj scr_T scr_cost
 )
 
@@ -136,23 +137,29 @@ class CextBackend(Backend):
         lib.repro_sim_run.restype = c_int64
         lib.repro_sim_run.argtypes = [c_void_p] * 47
 
-    # -- kernel: the whole level loop --------------------------------------
+    # -- kernel: the whole wave loop ---------------------------------------
 
     def run_levels(
-        self, *, max_f, early_exit,
-        level_slot_bounds, slot_perm, slot_scn, slot_counts,
-        level_pair_bounds, pair_j_slot, pair_mode, pair_fallback,
+        self, *, num_waves, early_exit,
+        wave_slot_bounds, slot_perm, slot_scn, slot_level, slot_counts,
+        wave_pair_bounds, pair_j_slot, pair_mode, pair_fallback,
         pair_bi, pair_use_bound, down_offsets, down_pair,
         C, T, J, D, BLK, WARM, GIVE,
         R, CONV, TAINT, BAD, totals, hitcost,
-        stopped, diverted, last_level, iterations,
+        fail_level, unsafe_level, slot_iters,
     ) -> None:
-        """Run :func:`repro.core.batch._run_batch`'s entire level loop.
+        """Run the batch engine's entire wave loop in C.
 
-        Mutates the dynamic-state arrays (``R``/``CONV``/``TAINT``/
-        ``BAD``/``totals``/``hitcost``/``stopped``/``diverted``/
-        ``last_level``/``iterations``) in place, byte-identically to the
-        numpy loop.  Every argument is a C-contiguous array of the dtype
+        The twin of :func:`repro.core.batch._run_levels`, with the same
+        keywords: slots and pair rows come wave-major, one contiguous
+        slice per dependency wave, and C walks them in that order.  It
+        mutates the dynamic state (``R``/``CONV``/``TAINT``/``BAD``/
+        ``totals``/``hitcost``, the per-scenario ``fail_level`` and
+        ``unsafe_level`` frontiers and the per-slot ``slot_iters``) in
+        place; every row up to a scenario's first miss or valve trip is
+        byte-identical to numpy's, and the batch derives diversion,
+        truncation and iteration totals from the frontiers alone.
+        Every argument is a C-contiguous array of the dtype
         :data:`_RUN_LEVELS_DTYPES` gives it (ctypes rejects any other):
         int64 throughout, except int32 ``pair_j_slot`` and
         ``down_pair``, int8 ``pair_mode`` and the boolean flags.
@@ -164,16 +171,17 @@ class CextBackend(Backend):
         scr_T = _np.empty(max(max_cnt, 1), dtype=_np.int64)
         scr_cost = _np.empty(max(max_cnt, 1), dtype=_np.int64)
         lparams = _np.asarray(
-            [max_f, int(bool(early_exit)), _SAFE_RESPONSE, _MAX_ITERATIONS],
+            [num_waves, int(bool(early_exit)), _SAFE_RESPONSE,
+             _MAX_ITERATIONS],
             dtype=_np.int64,
         )
         arrays = (
-            lparams, level_slot_bounds, slot_perm, slot_scn, slot_counts,
-            level_pair_bounds, pair_j_slot, pair_mode, pair_fallback,
-            pair_bi, pair_use_bound, down_offsets, down_pair,
+            lparams, wave_slot_bounds, slot_perm, slot_scn, slot_level,
+            slot_counts, wave_pair_bounds, pair_j_slot, pair_mode,
+            pair_fallback, pair_bi, pair_use_bound, down_offsets, down_pair,
             C, T, J, D, BLK, WARM, GIVE,
             R, CONV, TAINT, BAD, totals, hitcost,
-            stopped, diverted, last_level, iterations,
+            fail_level, unsafe_level, slot_iters,
             scr_wj, scr_T, scr_cost,
         )
         self._lib.repro_run_levels(*arrays)

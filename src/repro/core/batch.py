@@ -8,9 +8,13 @@ This module stacks B such *scenarios* into flat numpy arrays and runs
 the ceiling-recurrence fixed point for SB/IBN/XLWX across the whole
 batch at once:
 
-* flows of every scenario occupy **slots** of one flat array; levels
-  (priority indices) are processed in order, each level solving the
-  recurrences of *all* scenarios' flows at that level simultaneously;
+* flows of every scenario occupy **slots** of one flat array, grouped
+  by dependency **wave** (:attr:`~repro.core.interference
+  .InterferenceGraph.waves`: 0 without direct interferers, else one more
+  than the deepest direct interferer's).  A flow's recurrence reads only
+  what its direct interferers produced, so waves are processed in order,
+  each step solving the recurrences of *all* scenarios' flows in that
+  wave simultaneously, whatever their priority levels;
 * the pair structure (direct interference sets, downstream runs,
   upstream flags, contention-domain sizes) is the interference graph's
   own sparse pair table (:class:`~repro.core.interference
@@ -21,7 +25,11 @@ batch at once:
   overruns its give-up cut-off, or (for warm starts) must replay cold;
 * scenarios may be **ragged** (different flow counts) and **mixed**
   (different analyses, buffer maps, payloads, periods, priorities);
-  a scenario simply stops contributing rows beyond its own depth.
+  a scenario simply stops contributing rows beyond its own depth;
+* early exit and scalar diversion keep per-scenario level frontiers:
+  a flow may be solved before a higher-priority flow of a later wave
+  misses, so rows above a scenario's first miss or valve trip are
+  skipped or, if already solved, discarded.
 
 Equivalence contract: :func:`analyze_batch` returns
 :class:`~repro.core.engine.AnalysisResult` objects **byte-identical**
@@ -259,7 +267,7 @@ def _ceil_div(numer, denom):
 
 def _solve_rows(start, warm_active, base, give, cold, wj, period, cost,
                 counts):
-    """Solve one level's recurrences for all rows simultaneously.
+    """Solve one wave's recurrences for all rows simultaneously.
 
     Returns ``(response, converged, iterations, unsafe)`` per row, with
     the exact iterate sequence of the scalar engine: converged rows keep
@@ -318,7 +326,7 @@ def _solve_rows(start, warm_active, base, give, cold, wj, period, cost,
 
 
 # ---------------------------------------------------------------------------
-# Batch composition and the level loop.
+# Batch composition and the wave loop.
 # ---------------------------------------------------------------------------
 
 class BatchReport:
@@ -398,10 +406,10 @@ def analyze_batch(
 
 def _stack_down_runs(plans, pair_bases, inv_pperm, down_lens_sm,
                      down_offsets):
-    """Every scenario's downstream runs, stacked level-major as int32.
+    """Every scenario's downstream runs, stacked wave-major as int32.
 
-    An entry holds the level-major row of its (τj, τk) pair.  Stacked
-    rows are copied from their graphs to their level-major place in
+    An entry holds the wave-major row of its (τj, τk) pair.  Stacked
+    rows are copied from their graphs to their wave-major place in
     chunks of at most :data:`~repro.core.interference._CANDIDATE_CHUNK`
     entries (a chunk may span scenarios), so no index or value array
     spans the whole batch.
@@ -440,36 +448,70 @@ def _stack_down_runs(plans, pair_bases, inv_pperm, down_lens_sm,
     return down_pair
 
 
-def _run_batch(scenarios, *, stop_at_deadline, early_exit):
-    """The array program proper; ``None`` entries mean "divert"."""
-    plans = [_build_plan(s) for s in scenarios]
+class _Composed:
+    """One composed batch: the wave loop's static arrays and slot sizes."""
+
+    __slots__ = ("arrays", "sizes")
+
+    def __init__(self, arrays: dict, sizes) -> None:
+        #: ``run_levels``' static keyword arguments.
+        self.arrays = arrays
+        #: flows per scenario; scenario b owns slots ``sum(sizes[:b])`` on.
+        self.sizes = sizes
+
+    def fresh_state(self) -> dict:
+        """``run_levels``' dynamic keyword arguments, as a run starts them.
+
+        ``fail_level``/``unsafe_level`` start at each scenario's size:
+        past its last level, "nothing missed, nothing tripped".
+        """
+        total_slots = len(self.arrays["C"])
+        total_pairs = len(self.arrays["pair_j_slot"])
+        return {
+            "R": _np.zeros(total_slots, dtype=_np.int64),
+            "CONV": _np.zeros(total_slots, dtype=bool),
+            "TAINT": _np.zeros(total_slots, dtype=bool),
+            "BAD": _np.zeros(total_slots, dtype=_np.int64),  # ~conv | taint
+            "totals": _np.zeros(total_pairs, dtype=_np.int64),
+            "hitcost": _np.zeros(total_pairs, dtype=_np.int64),
+            "fail_level": self.sizes.copy(),
+            "unsafe_level": self.sizes.copy(),
+            "slot_iters": _np.zeros(total_slots, dtype=_np.int64),
+        }
+
+
+def _compose(plans, *, stop_at_deadline) -> _Composed:
+    """Stack the plans' flows and pair rows, wave-major, as flat arrays.
+
+    Slots (flows) and pair rows are regrouped so each dependency wave
+    (:attr:`~repro.core.interference.InterferenceGraph.waves`) is one
+    contiguous slice of both, scenarios ascending within it and levels
+    ascending within a scenario.
+    """
     B = len(plans)
     sizes = _np.asarray([p.n for p in plans], dtype=_np.int64)
     slot_base = _np.zeros(B + 1, dtype=_np.int64)
     _np.cumsum(sizes, out=slot_base[1:])
     total_slots = int(slot_base[-1])
-    max_f = int(sizes.max())
 
     # ---- flat per-slot arrays (scenario-major) ------------------------
     C = _np.concatenate([p.c for p in plans])
-    T = _np.concatenate([p.period for p in plans])
-    J = _np.concatenate([p.jitter for p in plans])
     D = _np.concatenate([p.deadline for p in plans])
-    BLK = _np.concatenate([p.blocking for p in plans])
-    WARM = _np.concatenate([p.warm for p in plans])
     GIVE = D if stop_at_deadline else _np.full(
         total_slots, RESPONSE_CAP, dtype=_np.int64
     )
-    slot_scn = _np.repeat(_np.arange(B, dtype=_np.int64), sizes)
     slot_level = _np.concatenate(
         [_np.arange(p.n, dtype=_np.int64) for p in plans]
     )
-    # Level-major views: slots (and pairs, below) regrouped so each
-    # level is one contiguous slice, scenarios ascending within it.
-    slot_perm = _np.argsort(slot_level, kind="stable")
-    level_slot_bounds = _np.searchsorted(
-        slot_level[slot_perm], _np.arange(max_f + 2)
+    slot_wave = _np.concatenate([p.graph.waves for p in plans])
+    num_waves = int(slot_wave.max()) + 1 if total_slots else 0
+    # Wave-major views: a stable sort keeps scenario, then level, order
+    # within each wave.
+    slot_perm = _np.argsort(slot_wave, kind="stable")
+    wave_slot_bounds = _np.searchsorted(
+        slot_wave[slot_perm], _np.arange(num_waves + 1)
     )
+    del slot_wave
 
     # ---- flat pair arrays --------------------------------------------
     # Each scenario's pair-table rows, offset into the flat arrays.  Slot
@@ -486,14 +528,23 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             f"batch too large: {total_slots} flows and {total_pairs} "
             f"interfering pairs, the limit is {_INDEX_MAX} of each"
         )
-    pair_level = _np.concatenate([p.graph.pair_i for p in plans])
+    pair_wave = _np.concatenate(
+        [p.graph.waves[p.graph.pair_i] for p in plans]
+    )
+    pperm = _np.argsort(pair_wave, kind="stable").astype(_np.int32)
+    wave_pair_bounds = _np.searchsorted(
+        pair_wave[pperm], _np.arange(num_waves + 1)
+    )
+    del pair_wave
+    inv_pperm = _np.empty_like(pperm)
+    inv_pperm[pperm] = _np.arange(total_pairs, dtype=_np.int32)
     pair_j_slot = _np.concatenate(
         [p.graph.pair_j + int(slot_base[b]) for b, p in enumerate(plans)]
-    )
+    )[pperm]
     pair_mode = _np.concatenate(
         [_np.full(len(p.graph.pair_i), p.mode, dtype=_np.int8)
          for p in plans]
-    )
+    )[pperm]
     pair_fallback = _np.concatenate(
         [
             p.fallback_pair
@@ -501,7 +552,7 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             else _np.zeros(len(p.graph.pair_i), dtype=bool)
             for p in plans
         ]
-    )
+    )[pperm]
     pair_bi = _np.concatenate(
         [
             p.bi_pair
@@ -509,114 +560,108 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             else _np.zeros(len(p.graph.pair_i), dtype=_np.int64)
             for p in plans
         ]
-    )
+    )[pperm]
     pair_use_bound = _np.concatenate(
         [_np.full(len(p.graph.pair_i), p.use_bound, dtype=bool)
          for p in plans]
-    )
-    pperm = _np.argsort(pair_level, kind="stable").astype(_np.int32)
-    inv_pperm = _np.empty_like(pperm)
-    inv_pperm[pperm] = _np.arange(total_pairs, dtype=_np.int32)
-    pair_j_slot = pair_j_slot[pperm]
-    pair_mode = pair_mode[pperm]
-    pair_fallback = pair_fallback[pperm]
-    pair_bi = pair_bi[pperm]
-    pair_use_bound = pair_use_bound[pperm]
-    level_pair_bounds = _np.searchsorted(
-        pair_level[pperm], _np.arange(max_f + 2)
-    )
-    del pair_level
-    # Per-slot direct-set sizes, level-major (row segmentation).
+    )[pperm]
+    # Per-slot direct-set sizes, wave-major (row segmentation).
     slot_counts = _np.concatenate(
         [_np.diff(p.graph.pair_offsets) for p in plans]
     )[slot_perm]
 
-    # ---- flat downstream runs, level-major ----------------------------
+    # ---- flat downstream runs, wave-major -----------------------------
     down_lens_sm = _np.concatenate(
         [_np.diff(p.graph.down_offsets) for p in plans]
     )
-    down_lens = down_lens_sm[pperm]
-    del pperm
     down_offsets = _np.zeros(total_pairs + 1, dtype=_np.int64)
-    _np.cumsum(down_lens, out=down_offsets[1:])
+    _np.cumsum(down_lens_sm[pperm], out=down_offsets[1:])
+    del pperm
     down_pair = _stack_down_runs(
         plans, pair_bases, inv_pperm, down_lens_sm, down_offsets
     )
     del inv_pperm, down_lens_sm
+
+    return _Composed(
+        {
+            "num_waves": num_waves,
+            "wave_slot_bounds": wave_slot_bounds, "slot_perm": slot_perm,
+            "slot_scn": _np.repeat(_np.arange(B, dtype=_np.int64), sizes),
+            "slot_level": slot_level, "slot_counts": slot_counts,
+            "wave_pair_bounds": wave_pair_bounds,
+            "pair_j_slot": pair_j_slot, "pair_mode": pair_mode,
+            "pair_fallback": pair_fallback, "pair_bi": pair_bi,
+            "pair_use_bound": pair_use_bound,
+            "down_offsets": down_offsets, "down_pair": down_pair,
+            "C": C,
+            "T": _np.concatenate([p.period for p in plans]),
+            "J": _np.concatenate([p.jitter for p in plans]),
+            "D": D,
+            "BLK": _np.concatenate([p.blocking for p in plans]),
+            "WARM": _np.concatenate([p.warm for p in plans]),
+            "GIVE": GIVE,
+        },
+        sizes,
+    )
+
+
+def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
+                slot_scn, slot_level, slot_counts, wave_pair_bounds,
+                pair_j_slot, pair_mode, pair_fallback, pair_bi,
+                pair_use_bound, down_offsets, down_pair,
+                C, T, J, D, BLK, WARM, GIVE,
+                R, CONV, TAINT, BAD, totals, hitcost,
+                fail_level, unsafe_level, slot_iters):
+    """The numpy wave loop: one vectorised step per dependency wave.
+
+    The twin of a compiled backend's ``run_levels`` (same keywords, same
+    in-place updates of the dynamic state).  Each step solves every live
+    slot of one wave, of all scenarios and levels at once.  A slot is
+    live while its level is at most its scenario's ``fail_level`` (the
+    lowest level that missed, under early exit) and ``unsafe_level``
+    (the lowest level whose iterate tripped the int64/iteration valve).
+    A slot solved before a lower level's failure is found is discarded
+    afterwards: everything that reads it lies above that level too.
+    """
+    down_lens = _np.diff(down_offsets)
     down_starts = down_offsets[:-1]
-
-    # ---- dynamic state ------------------------------------------------
-    R = _np.zeros(total_slots, dtype=_np.int64)
-    CONV = _np.zeros(total_slots, dtype=bool)
-    TAINT = _np.zeros(total_slots, dtype=bool)
-    BAD = _np.zeros(total_slots, dtype=_np.int64)  # ~conv | taint, 0/1
-    totals = _np.zeros(total_pairs, dtype=_np.int64)
-    hitcost = _np.zeros(total_pairs, dtype=_np.int64)
-    stopped = _np.zeros(B, dtype=bool)
-    diverted = _np.zeros(B, dtype=bool)
-    last_level = sizes - 1
-    iterations = _np.zeros(B, dtype=_np.int64)
-
-    # Batch-wide fast-path flags: skip whole term families no scenario
-    # needs, and skip the live-filtering machinery until a scenario
-    # actually retires (early exit or scalar diversion).
-    modes_present = {p.mode for p in plans}
-    need_sum = bool(modes_present & {_MODE_XLWX, _MODE_IBN})
-    need_eq8 = _MODE_IBN in modes_present
-    sb_present = _MODE_SB in modes_present
-    xlwx_present = _MODE_XLWX in modes_present
+    # Batch-wide fast-path flags: skip whole term families no pair
+    # needs, and skip the liveness selection until a scenario retires
+    # (early exit or scalar diversion).
+    modes = _np.bincount(pair_mode, minlength=3) > 0
+    sb_present = bool(modes[_MODE_SB])
+    xlwx_present = bool(modes[_MODE_XLWX])
+    need_eq8 = bool(modes[_MODE_IBN])
+    need_sum = xlwx_present or need_eq8
     has_blocking = bool(BLK.any())
     any_warm = bool(WARM.any())
-    any_retired = False
-    # The backend seam: a compiled backend may take the whole level
-    # loop (run_levels) under a byte-identical dynamic-state contract;
-    # numpy keeps the in-module implementation.
-    kernel = _backend.get_backend()
-    if kernel.run_levels is not None:
-        kernel.run_levels(
-            max_f=max_f, early_exit=early_exit,
-            level_slot_bounds=level_slot_bounds, slot_perm=slot_perm,
-            slot_scn=slot_scn, slot_counts=slot_counts,
-            level_pair_bounds=level_pair_bounds, pair_j_slot=pair_j_slot,
-            pair_mode=pair_mode, pair_fallback=pair_fallback,
-            pair_bi=pair_bi, pair_use_bound=pair_use_bound,
-            down_offsets=down_offsets, down_pair=down_pair,
-            C=C, T=T, J=J, D=D, BLK=BLK, WARM=WARM, GIVE=GIVE,
-            R=R, CONV=CONV, TAINT=TAINT, BAD=BAD, totals=totals,
-            hitcost=hitcost, stopped=stopped, diverted=diverted,
-            last_level=last_level, iterations=iterations,
-        )
-        levels = range(0)
-    else:
-        levels = range(max_f)
+    frontier = None  # per scenario: min(fail_level, unsafe_level)
 
-    for level in levels:
-        s0, s1 = int(level_slot_bounds[level]), int(level_slot_bounds[level + 1])
+    for wave in range(num_waves):
+        s0, s1 = int(wave_slot_bounds[wave]), int(wave_slot_bounds[wave + 1])
         slots_all = slot_perm[s0:s1]
-        scns_all = slot_scn[slots_all]
         counts_all = slot_counts[s0:s1]
-        p0, p1 = int(level_pair_bounds[level]), int(level_pair_bounds[level + 1])
+        p0, p1 = int(wave_pair_bounds[wave]), int(wave_pair_bounds[wave + 1])
         live_all = True
-        if any_retired:
-            live = ~(stopped[scns_all] | diverted[scns_all])
+        if frontier is not None:
+            live = slot_level[slots_all] <= frontier[slot_scn[slots_all]]
             live_all = bool(live.all())
             if not live_all and not live.any():
                 continue
         if live_all:
-            # The common case is one contiguous slice per level: no
-            # index arrays, and the level's downstream entries are one
+            # The common case is one contiguous slice per wave: no
+            # index arrays, and the wave's downstream entries are one
             # contiguous run of the flat arrays.
-            slots, scns, counts = slots_all, scns_all, counts_all
+            slots, counts = slots_all, counts_all
             sel = slice(p0, p1)
             dlen = down_lens[sel]
             d0, d1 = int(down_offsets[p0]), int(down_offsets[p1])
             dp = down_pair[d0:d1].astype(_np.intp)
         else:
             slots = slots_all[live]
-            scns = scns_all[live]
             counts = counts_all[live]
-            # Select the live scenarios' pair runs without touching the
-            # retired ones: one prefix sum over the level, then gathers
+            # Select the live slots' pair runs without touching the
+            # retired ones: one prefix sum over the wave, then gathers
             # proportional to the *surviving* pairs only.
             prefix = _np.zeros(len(counts_all) + 1, dtype=_np.int64)
             _np.cumsum(counts_all, out=prefix[1:])
@@ -624,13 +669,13 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             dlen = down_lens[sel]
             gidx, _ = _gather_segments(down_starts[sel], dlen)
             dp = down_pair[gidx].astype(_np.intp)
-        # The stored int32 indices widen once per level: numpy would
+        # The stored int32 indices widen once per wave: numpy would
         # otherwise convert them again inside every gather below.
         pj = pair_j_slot[sel].astype(_np.intp)
         r_j = R[pj]
         wj = J[pj] + r_j - C[pj]
 
-        # Downstream terms, evaluated per family over the level's flat
+        # Downstream terms, evaluated per family over the wave's flat
         # downstream run (empty per-pair segments naturally sum to 0):
         # the totals sum feeds XLWX pairs and IBN's application-rule
         # fallback, Equation 8's recounted-and-capped hits feed the
@@ -687,16 +732,19 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         r_fin, conv_fin, iters, unsafe = _solve_rows(
             start, warm_ok, base, give, cold, wj, T[pj], iter_cost, counts
         )
-        iterations[scns] += iters
+        slot_iters[slots] = iters
         if unsafe.any():
-            any_retired = True
-            diverted[scns[unsafe]] = True
+            tripped = slots[unsafe]
+            _np.minimum.at(
+                unsafe_level, slot_scn[tripped], slot_level[tripped]
+            )
+            frontier = _np.minimum(fail_level, unsafe_level)
             keep = ~unsafe
             if not keep.any():
                 continue
             if isinstance(sel, slice):
                 sel = _np.arange(p0, p1, dtype=_np.int64)
-            slots, scns = slots[keep], scns[keep]
+            slots = slots[keep]
             pair_keep = _np.repeat(keep, counts)
             sel, pj, wj = sel[pair_keep], pj[pair_keep], wj[pair_keep]
             cost = cost[pair_keep]
@@ -716,16 +764,48 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         if early_exit:
             failed = ~(conv_fin & (r_fin <= D[slots]))
             if failed.any():
-                any_retired = True
-                stopped[scns[failed]] = True
-                last_level[scns[failed]] = level
+                missed = slots[failed]
+                _np.minimum.at(
+                    fail_level, slot_scn[missed], slot_level[missed]
+                )
+                frontier = _np.minimum(fail_level, unsafe_level)
+
+
+def _run_batch(scenarios, *, stop_at_deadline, early_exit):
+    """The array program proper; ``None`` entries mean "divert"."""
+    plans = [_build_plan(s) for s in scenarios]
+    batch = _compose(plans, stop_at_deadline=stop_at_deadline)
+    state = batch.fresh_state()
+    # The backend seam: a compiled backend may take the whole wave loop
+    # under a byte-identical dynamic-state contract; numpy registers no
+    # kernel and runs the in-module loop.
+    kernel = _backend.get_backend()
+    (kernel.run_levels or _run_levels)(
+        early_exit=early_exit, **batch.arrays, **state
+    )
+
+    # ---- outcomes, the same for every backend --------------------------
+    # A scenario whose valve tripped below its first miss goes to the
+    # scalar engine; one that missed first stops at that level, as the
+    # scalar early exit does, and counts only the levels up to it.
+    sizes = batch.sizes
+    fail_level, unsafe_level = state["fail_level"], state["unsafe_level"]
+    diverted = unsafe_level < fail_level
+    stopped = (fail_level < sizes) & ~diverted
+    last_level = _np.where(stopped, fail_level, sizes - 1)
+    counted = batch.arrays["slot_level"] <= _np.repeat(last_level, sizes)
+    iterations = _segment_sums(
+        _np.where(counted, state["slot_iters"], 0), sizes
+    )
 
     # ---- materialise --------------------------------------------------
     # Plain-list views once, then the __init__-free constructor: frozen
     # dataclass construction and numpy scalar boxing dominate this loop
     # otherwise (one result per slot, all backends share this path).
-    C_l, R_l, D_l = C.tolist(), R.tolist(), D.tolist()
-    CONV_l, TAINT_l = CONV.tolist(), TAINT.tolist()
+    C_l, D_l = batch.arrays["C"].tolist(), batch.arrays["D"].tolist()
+    R_l = state["R"].tolist()
+    CONV_l, TAINT_l = state["CONV"].tolist(), state["TAINT"].tolist()
+    slot_base = (_np.cumsum(sizes) - sizes).tolist()
     outcomes: list = []
     for b, plan in enumerate(plans):
         if diverted[b]:
@@ -733,7 +813,7 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             continue
         flowset = plan.scenario.flowset
         analysis = plan.scenario.analysis
-        base_slot = int(slot_base[b])
+        base_slot = slot_base[b]
         flows: dict[str, FlowResult] = {}
         upto = int(last_level[b])
         for index, flow in enumerate(flowset.flows[:upto + 1]):

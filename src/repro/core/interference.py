@@ -258,6 +258,22 @@ class InterferenceGraph:
         np.minimum.at(first_end, self.pair_i, self.pair_hi_i)
         return first_end[self.pair_j] < self.pair_lo_j
 
+    @cached_property
+    def waves(self):
+        """Per flow: its dependency wave, 0 when ``S^D_i`` is empty, else
+        one more than the deepest wave in ``S^D_i``.  τi's recurrence
+        reads only what its direct interferers produced, so a wave's
+        flows can all be solved once every earlier wave is."""
+        cols = self.pair_j.tolist()
+        bounds = self.pair_offsets.tolist()
+        waves = [0] * (len(bounds) - 1)
+        wave_of = waves.__getitem__
+        for i in range(len(waves)):
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo < hi:
+                waves[i] = 1 + max(map(wave_of, cols[lo:hi]))
+        return np.asarray(waves, dtype=np.int32)
+
     def compatible_with(self, flowset: FlowSet) -> bool:
         """Is this graph valid for ``flowset``?
 

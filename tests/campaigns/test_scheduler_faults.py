@@ -181,12 +181,17 @@ class TestPooledFaults:
     def test_worker_death_before_window_refill_heals(self, monkeypatch):
         # The workers die after ``wait`` returned but before the loop
         # refills its window, so the refill submits to a broken pool.
+        # The 200 jobs make 9 blocks against a window of 4, so a refill
+        # follows the first return.  That return first takes the whole
+        # window: with nothing in flight, no failing future heals the
+        # pool before the refill meets it.
         real_wait = scheduler.wait
         killed = []
 
         def wait_then_kill(*args, **kwargs):
             done, pending = real_wait(*args, **kwargs)
-            if done and pending and not killed:
+            if done and not killed:
+                done, pending = done | real_wait(pending).done, set()
                 for child in multiprocessing.active_children():
                     os.kill(child.pid, signal.SIGKILL)
                     killed.append(child.pid)

@@ -326,3 +326,143 @@ class TestVerdictConsumers:
         jobs = [dict(base, depth=depth) for depth in (2, 16, 100)]
         block = run_buffer_chunk_block(jobs)
         assert block == [run_buffer_chunk(job) for job in jobs]
+
+
+def _frontier_flowset(spec):
+    """Flows on a 9-node chain, priorities in the order given."""
+    return FlowSet(
+        NoCPlatform(chain(9), buf=2),
+        [
+            Flow(name, priority=rank + 1, **timing)
+            for rank, (name, timing) in enumerate(spec)
+        ],
+    )
+
+
+#: A → X → B form waves 0, 1, 2 on nodes 0–3 and B misses its deadline.
+#: On nodes 5–8, C1 and C2 share no link, so both meet their deadlines,
+#: while D, crossing both, takes 1.2 units of load per unit of time: its
+#: recurrence runs away and trips the int64 valve in wave 1.
+_CHAIN_MISS = [
+    ("A", dict(period=1000, length=10, src=0, dst=1)),
+    ("X", dict(period=1000, length=10, src=0, dst=2)),
+    ("B", dict(period=1000, length=10, src=1, dst=3, deadline=15)),
+]
+_OVERLOAD = [
+    ("C1", dict(period=100, length=57, src=5, dst=6)),
+    ("C2", dict(period=100, length=57, src=6, dst=8)),
+    ("D", dict(period=10**6, length=50, src=5, dst=8)),
+]
+#: C0 shares only C1's ejection link, which puts D in wave 2; X misses
+#: its deadline in wave 1.
+_OVERLOAD_LATE = [("C0", dict(period=100, length=5, src=7, dst=6))] + _OVERLOAD
+_CHAIN_MISS_EARLY = [
+    ("A", dict(period=1000, length=10, src=0, dst=1)),
+    ("X", dict(period=1000, length=10, src=0, dst=2, deadline=20)),
+]
+
+#: Flows kept and iterations spent per scenario by the pinned batch in
+#: ``test_report_counts_only_the_levels_kept``, as recorded when the
+#: batch engine solved one priority level per step.
+_PINNED_KEPT = [200, 197, 180, 240, 193, 150, 4]
+_PINNED_ITERATIONS = [412, 572, 402, 572, 582, 329, 0]
+
+
+class TestWaveFrontier:
+    """Waves solve a flow before a higher-priority flow of a later wave,
+    so early exit and diversion follow per-scenario level frontiers."""
+
+    @pytest.mark.parametrize(
+        "analysis", [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()],
+        ids=lambda analysis: type(analysis).__name__,
+    )
+    def test_miss_found_after_a_lower_priority_valve_trip(self, analysis):
+        """D (level 5, wave 1) trips the valve before B (level 2, wave
+        2) misses: the scenario stops at B, as scalar, undiverted."""
+        flowset = _frontier_flowset(_CHAIN_MISS + _OVERLOAD)
+        graph = InterferenceGraph(flowset)
+        assert graph.waves.tolist() == [0, 1, 2, 0, 0, 1]
+        report = BatchReport(1)
+        result = analyze_batch(
+            [Scenario(flowset, analysis, graph=graph)],
+            stop_at_deadline=False, early_exit=True, report=report,
+        )[0]
+        _assert_results_equal(
+            result,
+            analyze(flowset, analysis, stop_at_deadline=False,
+                    early_exit=True),
+        )
+        assert list(result.flows) == ["A", "X", "B"]
+        assert report.scalar_fallbacks == []
+
+    @pytest.mark.parametrize(
+        "analysis", [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()],
+        ids=lambda analysis: type(analysis).__name__,
+    )
+    def test_valve_trip_found_after_a_lower_priority_miss(self, analysis):
+        """X (level 5, wave 1) misses before D (level 3, wave 2) trips
+        the valve: the trip lies below the miss, so the scenario goes to
+        the scalar engine."""
+        flowset = _frontier_flowset(_OVERLOAD_LATE + _CHAIN_MISS_EARLY)
+        graph = InterferenceGraph(flowset)
+        assert graph.waves.tolist() == [0, 1, 0, 2, 0, 1]
+        report = BatchReport(1)
+        result = analyze_batch(
+            [Scenario(flowset, analysis, graph=graph)],
+            stop_at_deadline=False, early_exit=True, report=report,
+        )[0]
+        _assert_results_equal(
+            result,
+            analyze(flowset, analysis, stop_at_deadline=False,
+                    early_exit=True),
+        )
+        assert list(result.flows) == ["C0", "C1", "C2", "D"]
+        assert report.scalar_fallbacks == [0]
+
+    def test_report_counts_only_the_levels_kept(self):
+        """Iterations of a ragged early-exit batch, recorded when levels
+        were solved one at a time: rows solved beyond a scenario's first
+        miss are not counted."""
+        analyses = [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()]
+        sizes = [200, 260, 180, 240, 300, 150]
+        scenarios = [
+            Scenario(
+                _random_flowset(n, 40 + k, tag="pinned-report"),
+                analyses[k % 3],
+            )
+            for k, n in enumerate(sizes)
+        ]
+        scenarios.append(Scenario(
+            _frontier_flowset(_OVERLOAD_LATE + _CHAIN_MISS_EARLY),
+            IBNAnalysis(),
+        ))
+        report = BatchReport(len(scenarios))
+        results = analyze_batch(
+            scenarios, stop_at_deadline=False, early_exit=True,
+            report=report,
+        )
+        assert [len(result.flows) for result in results] == _PINNED_KEPT
+        assert report.iterations == _PINNED_ITERATIONS
+        assert report.scalar_fallbacks == [6]
+
+    def test_one_step_per_wave(self, monkeypatch):
+        """A B = 1 early-exit call solves at most one row block per
+        wave; one per level took 390 here."""
+        flowset = _random_flowset(400, 5, tag="step-guard")
+        graph = InterferenceGraph(flowset)
+        steps = []
+        solve_rows = batch_mod._solve_rows
+
+        def counted(*args):
+            steps.append(len(args[0]))
+            return solve_rows(*args)
+
+        monkeypatch.setattr(batch_mod, "_solve_rows", counted)
+        result = analyze_batch(
+            [Scenario(flowset, IBNAnalysis(), graph=graph)], early_exit=True
+        )[0]
+        _assert_results_equal(
+            result,
+            analyze(flowset, IBNAnalysis(), graph=graph, early_exit=True),
+        )
+        assert len(steps) <= int(graph.waves.max()) + 1

@@ -1,5 +1,7 @@
 """Interference sets: didactic oracle plus structural properties."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,10 @@ class TestDidacticSets:
         graph = InterferenceGraph(didactic2)
         with pytest.raises(ValueError, match="not a direct interferer"):
             graph.updown_by_index(graph.index("t3"), graph.index("t1"))
+
+    def test_waves(self, didactic2):
+        # t1 interferes with t2, t2 with t3: a three-wave chain.
+        assert InterferenceGraph(didactic2).waves.tolist() == [0, 1, 2]
 
 
 class TestUpstreamScenario:
@@ -171,6 +177,30 @@ class TestStructuralProperties:
                 )
                 row = graph.pair_row(i, j)
                 assert bool(graph.any_direct_upstream[row]) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 4),
+        st.integers(1, 80),
+        st.integers(0, 10**6),
+    )
+    def test_waves_match_recursive_reference(self, cols, rows, n, seed):
+        """A flow's wave is 0 when S^D_i is empty, else one more than
+        the deepest wave among its direct interferers."""
+        platform = NoCPlatform(Mesh2D(cols, rows), buf=2)
+        rng = spawn_rng(seed, "interference-waves")
+        flows = synthetic_flows(
+            SyntheticConfig(num_flows=n), platform.topology.num_nodes, rng
+        )
+        graph = InterferenceGraph(FlowSet(platform, flows))
+
+        @functools.cache
+        def wave(i):
+            direct = graph.direct_by_index(i)
+            return 1 + max(map(wave, direct)) if direct else 0
+
+        assert graph.waves.tolist() == [wave(i) for i in range(n)]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(3, 20), st.integers(0, 10**6))
