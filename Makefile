@@ -5,7 +5,8 @@ export PYTHONPATH := src
 export REPRO_SCALE ?= ci
 
 .PHONY: test test-slow bench-smoke bench-record bench-figures campaign-smoke \
-	docs-check bench-regress chaos-smoke cluster-smoke backend-smoke smoke
+	docs-check bench-regress chaos-smoke cluster-smoke backend-smoke \
+	perfbench-selftest smoke
 
 ## Tier-1 test suite (the gate every PR must keep green).  Tests marked
 ## `slow` (paper-scale simulation sweeps) are deselected here.
@@ -64,11 +65,19 @@ backend-smoke:
 	$(PYTHON) -m repro backend --probe
 	$(PYTHON) -m pytest benchmarks/bench_backend.py -q
 
+## The end-to-end benchmark's self-test: tiny fig4 and validate runs
+## through `perfbench/run.py`, with the tracer patching the program's
+## functions by dotted name and the answer checks on, so a renamed
+## function or a changed answer fails here rather than in a full run.
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench/tests -q
+
 ## The full smoke path: tier-1 tests, executable documentation, the
 ## fault-injection scenarios (cluster kills included), the cluster
-## smoke, the backend seam smoke, and the perf-trajectory regression
-## gate.
-smoke: test docs-check chaos-smoke cluster-smoke backend-smoke bench-regress
+## smoke, the backend seam smoke, the benchmark's self-test, and the
+## perf-trajectory regression gate.
+smoke: test docs-check chaos-smoke cluster-smoke backend-smoke \
+	perfbench-selftest bench-regress
 
 ## Fast perf gate: ci-scale hot-path microbenchmarks (analysis kernel +
 ## simulator + serve throughput) plus the campaign-engine smoke and the

@@ -52,6 +52,7 @@ Scalar fallback: a scenario is handed back to :func:`analyze` when
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,8 +135,7 @@ class _Plan:
 
     __slots__ = (
         "scenario", "graph", "mode", "n", "c", "period", "jitter",
-        "deadline", "blocking", "warm", "use_bound", "fallback_pair",
-        "bi_pair",
+        "deadline", "blocking", "warm", "use_bound", "any_upstream",
     )
 
 
@@ -179,35 +179,30 @@ def _build_plan(scenario: Scenario) -> _Plan:
     else:
         plan.blocking = _np.zeros(n, dtype=_np.int64)
     plan.warm = _warm_array(scenario, plan)
-    plan.use_bound = False
-    plan.fallback_pair = None
-    plan.bi_pair = None
-    if plan.mode == _MODE_IBN:
-        analysis = scenario.analysis
-        plan.use_bound = analysis.use_buffer_bound
-        fallback = graph.up_nonempty
-        if analysis.upstream_rule == "any_upstream":
-            fallback = fallback | graph.any_direct_upstream
-        plan.fallback_pair = (_np.diff(graph.down_offsets) > 0) & fallback
-        if platform.is_homogeneous:
-            plan.bi_pair = (
-                platform.buf * platform.linkl
-            ) * graph.pair_size.astype(_np.int64)
-        else:
-            # Per-link depths (Equation 6 generalised): rare enough that
-            # a per-pair Python sum is fine.
-            linkl = platform.linkl
-            plan.bi_pair = _np.asarray(
-                [
-                    linkl * sum(
-                        platform.buf_of_link(link)
-                        for link in graph.cd_links_by_index(int(i), int(j))
-                    )
-                    for i, j in zip(graph.pair_i, graph.pair_j)
-                ],
-                dtype=_np.int64,
-            )
+    ibn, analysis = plan.mode == _MODE_IBN, scenario.analysis
+    plan.use_bound = ibn and analysis.use_buffer_bound
+    plan.any_upstream = ibn and analysis.upstream_rule == "any_upstream"
     return plan
+
+
+def _pair_bi(platform, graph):
+    """Equation 6's buffered-interference bound per pair row, int64."""
+    if platform.is_homogeneous:  # widen first: int16 products stay int16
+        size = graph.pair_size.astype(_np.int64)
+        return platform.buf * platform.linkl * size
+    # Per-link depths (Equation 6 generalised): rare enough that a
+    # per-pair Python sum is fine.
+    linkl = platform.linkl
+    return _np.asarray(
+        [
+            linkl * sum(
+                platform.buf_of_link(link)
+                for link in graph.cd_links_by_index(int(i), int(j))
+            )
+            for i, j in zip(graph.pair_i, graph.pair_j)
+        ],
+        dtype=_np.int64,
+    )
 
 
 def _warm_array(scenario: Scenario, plan: _Plan):
@@ -372,10 +367,7 @@ def analyze_batch(
                 "interference graph was built for a different flow set"
             )
     results: list[AnalysisResult | None] = [None] * len(scenarios)
-    batched: list[int] = []
-    for index, scenario in enumerate(scenarios):
-        if batchable(scenario.analysis):
-            batched.append(index)
+    batched = [i for i, s in enumerate(scenarios) if batchable(s.analysis)]
     needs_scalar: set[int] = set(range(len(scenarios))) - set(batched)
     if batched:
         solved = _run_batch(
@@ -404,47 +396,48 @@ def analyze_batch(
     return results  # type: ignore[return-value]
 
 
-def _stack_down_runs(plans, pair_bases, inv_pperm, down_lens_sm,
-                     down_offsets):
+def _stack_down_runs(plans, pair_bases, inv_pperm, down_offsets):
     """Every scenario's downstream runs, stacked wave-major as int32.
 
-    An entry holds the wave-major row of its (τj, τk) pair.  Stacked
-    rows are copied from their graphs to their wave-major place in
-    chunks of at most :data:`~repro.core.interference._CANDIDATE_CHUNK`
-    entries (a chunk may span scenarios), so no index or value array
-    spans the whole batch.
+    An entry holds the wave-major row of its (τj, τk) pair.  Rows are
+    taken scenario-major in chunks of at most
+    :data:`~repro.core.interference._CANDIDATE_CHUNK` entries (a chunk
+    may span scenarios), and each scenario's share of a chunk is copied
+    from its graph straight to its wave-major place, so no index or
+    value array spans the whole batch.
     """
-    total_pairs = len(inv_pperm)
-    entry_sm = _np.zeros(total_pairs + 1, dtype=_np.int64)
-    _np.cumsum(down_lens_sm, out=entry_sm[1:])
-    down_pair = _np.empty(int(entry_sm[-1]), dtype=_np.int32)
+    graphs = [p.graph for p in plans]
+    entry_bases = _np.cumsum([0] + [len(g.down_pair) for g in graphs]).tolist()
+    down_pair = _np.empty(entry_bases[-1], dtype=_np.int32)
     bases = pair_bases.tolist()
-    b = 0
-    stop = 0
-    while stop < total_pairs:
+    s = stop = 0
+    while stop < bases[-1]:
         start = stop
-        stop = int(_np.searchsorted(
-            entry_sm, entry_sm[start] + _CANDIDATE_CHUNK, side="right"
-        )) - 1
-        stop = min(max(stop, start + 1), total_pairs)
-        while bases[b + 1] <= start:
-            b += 1
-        rows = []
-        for s in range(b, len(plans)):
-            base = bases[s]
+        while bases[s + 1] <= start:
+            s += 1
+        # The last row boundary at most a chunk's entries past ``start``.
+        limit = (entry_bases[s] + int(graphs[s].down_offsets[start - bases[s]])
+                 + _CANDIDATE_CHUNK)
+        t = bisect_right(entry_bases, limit) - 1
+        stop = bases[-1] if t == len(graphs) else bases[t] + int(
+            _np.searchsorted(graphs[t].down_offsets,
+                             limit - entry_bases[t], side="right")
+        ) - 1
+        stop = min(max(stop, start + 1), bases[-1])
+        for b in range(s, len(graphs)):
+            base = bases[b]
             if base >= stop:
                 break
-            graph = plans[s].graph
-            lo = graph.down_offsets[max(start, base) - base]
-            hi = graph.down_offsets[min(stop, bases[s + 1]) - base]
-            rows.append(
-                inv_pperm[base:][graph.down_pair[lo:hi].astype(_np.intp)]
+            graph = graphs[b]
+            lo, hi = max(start, base) - base, min(stop, bases[b + 1]) - base
+            runs = graph.down_offsets[lo:hi + 1]
+            dest, _ = _gather_segments(
+                down_offsets[inv_pperm[base + lo:base + hi]], _np.diff(runs)
             )
-        dest, _ = _gather_segments(
-            down_offsets[inv_pperm[start:stop]], down_lens_sm[start:stop]
-        )
-        down_pair[dest] = _np.concatenate(rows)
-        del rows, dest  # before the next chunk's, not alongside them
+            down_pair[dest] = inv_pperm[base:][
+                graph.down_pair[runs[0]:runs[-1]]
+            ]
+            del dest  # before the next share's, not alongside it
     return down_pair
 
 
@@ -513,15 +506,11 @@ def _compose(plans, *, stop_at_deadline) -> _Composed:
     )
     del slot_wave
 
-    # ---- flat pair arrays --------------------------------------------
+    # ---- flat pair arrays, wave-major --------------------------------
     # Each scenario's pair-table rows, offset into the flat arrays.  Slot
     # and row indices stay int32, as in the graph, so the batch must
     # number its slots and rows below 2**31.
-    pair_bases = _np.zeros(B + 1, dtype=_np.int64)
-    _np.cumsum(
-        _np.asarray([len(p.graph.pair_i) for p in plans], dtype=_np.int64),
-        out=pair_bases[1:],
-    )
+    pair_bases = _np.cumsum([0] + [len(p.graph.pair_i) for p in plans])
     total_pairs = int(pair_bases[-1])
     if max(total_slots, total_pairs) > _INDEX_MAX:
         raise ValueError(
@@ -531,56 +520,46 @@ def _compose(plans, *, stop_at_deadline) -> _Composed:
     pair_wave = _np.concatenate(
         [p.graph.waves[p.graph.pair_i] for p in plans]
     )
-    pperm = _np.argsort(pair_wave, kind="stable").astype(_np.int32)
+    pperm = _np.argsort(pair_wave, kind="stable")
     wave_pair_bounds = _np.searchsorted(
         pair_wave[pperm], _np.arange(num_waves + 1)
     )
     del pair_wave
-    inv_pperm = _np.empty_like(pperm)
+    inv_pperm = _np.empty(total_pairs, dtype=_np.int32)
     inv_pperm[pperm] = _np.arange(total_pairs, dtype=_np.int32)
-    pair_j_slot = _np.concatenate(
-        [p.graph.pair_j + int(slot_base[b]) for b, p in enumerate(plans)]
-    )[pperm]
-    pair_mode = _np.concatenate(
-        [_np.full(len(p.graph.pair_i), p.mode, dtype=_np.int8)
-         for p in plans]
-    )[pperm]
-    pair_fallback = _np.concatenate(
-        [
-            p.fallback_pair
-            if p.fallback_pair is not None
-            else _np.zeros(len(p.graph.pair_i), dtype=bool)
-            for p in plans
-        ]
-    )[pperm]
-    pair_bi = _np.concatenate(
-        [
-            p.bi_pair
-            if p.bi_pair is not None
-            else _np.zeros(len(p.graph.pair_i), dtype=_np.int64)
-            for p in plans
-        ]
-    )[pperm]
-    pair_use_bound = _np.concatenate(
-        [_np.full(len(p.graph.pair_i), p.use_bound, dtype=bool)
-         for p in plans]
-    )[pperm]
+    del pperm
+    # Each column is allocated once, wave-major, and written scenario by
+    # scenario through the inverse permutation: no scenario-major copy.
+    # ``down_offsets`` takes the run lengths, then its prefix sum.
+    pair_j_slot = _np.empty(total_pairs, dtype=_np.int32)
+    pair_mode = _np.empty(total_pairs, dtype=_np.int8)
+    pair_use_bound = _np.empty(total_pairs, dtype=bool)
+    pair_fallback = _np.zeros(total_pairs, dtype=bool)
+    pair_bi = _np.zeros(total_pairs, dtype=_np.int64)
+    down_offsets = _np.zeros(total_pairs + 1, dtype=_np.int64)
+    for b, plan in enumerate(plans):
+        graph = plan.graph
+        rows = inv_pperm[pair_bases[b]:pair_bases[b + 1]]
+        pair_j_slot[rows] = graph.pair_j + int(slot_base[b])
+        pair_mode[rows] = plan.mode
+        pair_use_bound[rows] = plan.use_bound
+        runs = _np.diff(graph.down_offsets)
+        down_offsets[1:][rows] = runs
+        if plan.mode == _MODE_IBN:
+            fallback = graph.up_nonempty
+            if plan.any_upstream:
+                fallback = fallback | graph.any_direct_upstream
+            pair_fallback[rows] = (runs > 0) & fallback
+            pair_bi[rows] = _pair_bi(plan.scenario.flowset.platform, graph)
+    _np.cumsum(down_offsets, out=down_offsets)
     # Per-slot direct-set sizes, wave-major (row segmentation).
     slot_counts = _np.concatenate(
         [_np.diff(p.graph.pair_offsets) for p in plans]
     )[slot_perm]
 
     # ---- flat downstream runs, wave-major -----------------------------
-    down_lens_sm = _np.concatenate(
-        [_np.diff(p.graph.down_offsets) for p in plans]
-    )
-    down_offsets = _np.zeros(total_pairs + 1, dtype=_np.int64)
-    _np.cumsum(down_lens_sm[pperm], out=down_offsets[1:])
-    del pperm
-    down_pair = _stack_down_runs(
-        plans, pair_bases, inv_pperm, down_lens_sm, down_offsets
-    )
-    del inv_pperm, down_lens_sm
+    down_pair = _stack_down_runs(plans, pair_bases, inv_pperm, down_offsets)
+    del inv_pperm
 
     return _Composed(
         {
@@ -623,8 +602,6 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
     A slot solved before a lower level's failure is found is discarded
     afterwards: everything that reads it lies above that level too.
     """
-    down_lens = _np.diff(down_offsets)
-    down_starts = down_offsets[:-1]
     # Batch-wide fast-path flags: skip whole term families no pair
     # needs, and skip the liveness selection until a scenario retires
     # (early exit or scalar diversion).
@@ -654,7 +631,7 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
             # contiguous run of the flat arrays.
             slots, counts = slots_all, counts_all
             sel = slice(p0, p1)
-            dlen = down_lens[sel]
+            dlen = _np.diff(down_offsets[p0:p1 + 1])
             d0, d1 = int(down_offsets[p0]), int(down_offsets[p1])
             dp = down_pair[d0:d1].astype(_np.intp)
         else:
@@ -666,8 +643,9 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
             prefix = _np.zeros(len(counts_all) + 1, dtype=_np.int64)
             _np.cumsum(counts_all, out=prefix[1:])
             sel, _ = _gather_segments(p0 + prefix[:-1][live], counts)
-            dlen = down_lens[sel]
-            gidx, _ = _gather_segments(down_starts[sel], dlen)
+            dstart = down_offsets[sel]
+            dlen = down_offsets[sel + 1] - dstart
+            gidx, _ = _gather_segments(dstart, dlen)
             dp = down_pair[gidx].astype(_np.intp)
         # The stored int32 indices widen once per wave: numpy would
         # otherwise convert them again inside every gather below.
@@ -802,10 +780,13 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     # Plain-list views once, then the __init__-free constructor: frozen
     # dataclass construction and numpy scalar boxing dominate this loop
     # otherwise (one result per slot, all backends share this path).
+    # The composed arrays and the loop state go first: the results need
+    # only the lists, and would otherwise peak on top of the arrays.
     C_l, D_l = batch.arrays["C"].tolist(), batch.arrays["D"].tolist()
     R_l = state["R"].tolist()
     CONV_l, TAINT_l = state["CONV"].tolist(), state["TAINT"].tolist()
     slot_base = (_np.cumsum(sizes) - sizes).tolist()
+    del batch, state, counted
     outcomes: list = []
     for b, plan in enumerate(plans):
         if diverted[b]:
@@ -813,20 +794,12 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
             continue
         flowset = plan.scenario.flowset
         analysis = plan.scenario.analysis
-        base_slot = slot_base[b]
         flows: dict[str, FlowResult] = {}
         upto = int(last_level[b])
-        for index, flow in enumerate(flowset.flows[:upto + 1]):
-            slot = base_slot + index
-            name = flow.name
-            flows[name] = _flow_result_fast(
-                name,
-                flow.priority,
-                C_l[slot],
-                D_l[slot],
-                R_l[slot],
-                CONV_l[slot],
-                TAINT_l[slot],
+        for slot, flow in enumerate(flowset.flows[:upto + 1], slot_base[b]):
+            flows[flow.name] = _flow_result_fast(
+                flow.name, flow.priority, C_l[slot], D_l[slot], R_l[slot],
+                CONV_l[slot], TAINT_l[slot],
             )
         outcomes.append(
             (

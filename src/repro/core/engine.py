@@ -33,7 +33,7 @@ beyond-deadline iterate matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping
 
 from repro.core.analyses.base import Analysis, AnalysisContext
@@ -67,7 +67,7 @@ class InterferenceTerm:
         return self.hits * self.hit_cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowResult:
     """Outcome of one analysis for one flow.
 
@@ -98,21 +98,33 @@ class FlowResult:
         return self.deadline - self.response_time
 
 
+#: The slot descriptors' setters of :class:`FlowResult`, in field order.
+_FLOW_RESULT_SETTERS = tuple(
+    FlowResult.__dict__[f.name].__set__ for f in fields(FlowResult)
+)
+
+
 def _flow_result_fast(
     name: str, priority: int, c: int, deadline: int,
     response_time: int, converged: bool, tainted: bool,
 ) -> FlowResult:
     """Breakdown-free :class:`FlowResult` without the frozen-dataclass
-    ``__init__`` overhead (``object.__setattr__`` per field); the batch
-    engine materialises tens of thousands of these per call.  Must stay
-    in sync with the dataclass fields.
+    ``__init__`` overhead (``object.__setattr__`` per field): it fills
+    the slots through their descriptors.  The batch engine materialises
+    tens of thousands of these per call; a test keeps it equal to
+    ``FlowResult(...)``.
     """
+    (set_name, set_priority, set_c, set_deadline, set_response,
+     set_converged, set_tainted, set_breakdown) = _FLOW_RESULT_SETTERS
     result = object.__new__(FlowResult)
-    result.__dict__.update(
-        name=name, priority=priority, c=c, deadline=deadline,
-        response_time=response_time, converged=converged, tainted=tainted,
-        breakdown=(),
-    )
+    set_name(result, name)
+    set_priority(result, priority)
+    set_c(result, c)
+    set_deadline(result, deadline)
+    set_response(result, response_time)
+    set_converged(result, converged)
+    set_tainted(result, tainted)
+    set_breakdown(result, ())
     return result
 
 
@@ -256,13 +268,8 @@ def analyze(
             ctx.response[i] = 0
             ctx.converged[i] = True
             results[flow.name] = FlowResult(
-                name=flow.name,
-                priority=flow.priority,
-                c=0,
-                deadline=flow.deadline,
-                response_time=0,
-                converged=True,
-                tainted=False,
+                flow.name, flow.priority, c=0, deadline=flow.deadline,
+                response_time=0, converged=True, tainted=False,
             )
             continue
 

@@ -59,6 +59,10 @@ from repro.flows.flowset import FlowSet
 #: Candidate (τi, τj, τk) triples examined per step of the downstream
 #: enumeration; bounds its temporaries whatever the flow count.
 _CANDIDATE_CHUNK = 1 << 18
+#: Longest route the int16 span columns can number (orders are 1-based).
+_ORDER_MAX = np.iinfo(np.int16).max
+#: Most downstream entries one graph may hold: its run offsets are int32.
+_ENTRY_MAX = np.iinfo(np.int32).max
 
 
 def _gather_segments(starts, lens):
@@ -90,6 +94,11 @@ class InterferenceGraph:
       ``S^{up_j}_{I_i}`` nonempty;
     * ``lower_counts`` (n): route links each flow shares with a
       lower-priority flow.
+
+    ``pair_size`` and the spans are int16 (an order is at most its
+    route's length, :data:`_ORDER_MAX`), the other row and run columns
+    int32 (:data:`_ENTRY_MAX`): 23 bytes per row, 4 per downstream
+    entry.  Widen a narrow column before any product (NEP 50).
     """
 
     def __init__(self, flowset: FlowSet):
@@ -111,6 +120,11 @@ class InterferenceGraph:
         # run in ascending flow order, so an incidence's rank in its run
         # counts the higher-priority users of its link.
         lengths = np.fromiter(map(len, routes), dtype=np.int64, count=n)
+        if n and lengths.max() > _ORDER_MAX:
+            raise ValueError(
+                f"route of flow {self._names[int(lengths.argmax())]!r} has "
+                f"{lengths.max()} links; the limit is {_ORDER_MAX}"
+            )
         total = int(lengths.sum())
         link = np.fromiter(
             chain.from_iterable(routes), dtype=np.int64, count=total
@@ -180,11 +194,11 @@ class InterferenceGraph:
         np.cumsum(np.bincount(pair_i, minlength=n), out=self.pair_offsets[1:])
         self.pair_i = pair_i.astype(np.int32)
         self.pair_j = pair_j.astype(np.int32)
-        self.pair_size = size.astype(np.int32)
-        self.pair_lo_i = lo_i.astype(np.int32)
-        self.pair_hi_i = hi_i.astype(np.int32)
-        self.pair_lo_j = lo_j.astype(np.int32)
-        self.pair_hi_j = hi_j.astype(np.int32)
+        self.pair_size = size.astype(np.int16)
+        self.pair_lo_i = lo_i.astype(np.int16)
+        self.pair_hi_i = hi_i.astype(np.int16)
+        self.pair_lo_j = lo_j.astype(np.int16)
+        self.pair_hi_j = hi_j.astype(np.int16)
         self._partition()
 
     def _partition(self) -> None:
@@ -234,7 +248,13 @@ class InterferenceGraph:
             down_counts[p0:p1] = np.bincount(owner[down] - p0,
                                              minlength=p1 - p0)
             up_nonempty[owner_out[member & before[outside]]] = True
-        self.down_offsets = np.zeros(num_pairs + 1, dtype=np.int64)
+        entries = int(down_counts.sum())
+        if entries > _ENTRY_MAX:
+            raise ValueError(
+                f"interference graph too large: {entries} downstream "
+                f"entries, the limit is {_ENTRY_MAX}"
+            )
+        self.down_offsets = np.zeros(num_pairs + 1, dtype=np.int32)
         np.cumsum(down_counts, out=self.down_offsets[1:])
         self.down_pair = np.concatenate(
             [np.empty(0, dtype=np.int32), *down_parts]

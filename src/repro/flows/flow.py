@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
     """A periodic or sporadic packet flow ``τ_i`` (paper Section II).
 

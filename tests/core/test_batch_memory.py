@@ -1,6 +1,6 @@
 """Guard: one batch call's memory stays close to its graph's.
 
-The batch engine stacks every scenario's downstream runs level-major as
+The batch engine stacks every scenario's downstream runs wave-major as
 one int32 array, copied from the graphs in bounded chunks, and reads
 each entry's τk through its pair row.  So a call holds about 4 bytes
 per downstream entry, like the graph itself, plus per-pair columns.
@@ -52,6 +52,29 @@ def test_batch_call_peaks_under_half_the_int64_stacking():
     assert peak <= PEAK_LIMIT_BYTES, (
         f"batch call peaked {peak / 1e6:.1f} MB above its graph "
         f"({len(graph.down_pair)} downstream entries)"
+    )
+
+
+#: The parent of the lean composition peaked at 23.0 MB on this set.
+#: Each pair column is now allocated once, wave-major, IBN's per-pair
+#: values are written straight into it, and the stacking scratch is one
+#: scenario's share of a chunk.
+LEAN_PEAK_LIMIT_BYTES = 20_000_000
+
+
+def test_batch_call_keeps_only_its_wave_major_arrays():
+    flowset = _flowset(NUM_FLOWS)
+    graph = InterferenceGraph(flowset)
+    tracemalloc.start()
+    try:
+        analyze_batch([Scenario(flowset, IBNAnalysis(), graph=graph)],
+                      early_exit=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= LEAN_PEAK_LIMIT_BYTES, (
+        f"batch call peaked {peak / 1e6:.1f} MB above its graph "
+        f"({len(graph.pair_i)} pairs, {len(graph.down_pair)} entries)"
     )
 
 

@@ -9,7 +9,9 @@ what its build keeps.
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from repro.core import interference
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.core.batch import Scenario, analyze_batch
 from repro.core.interference import InterferenceGraph
@@ -86,3 +88,43 @@ def test_build_keeps_under_half_the_dense_footprint():
     finally:
         tracemalloc.stop()
     assert held < HELD_LIMIT_BYTES, f"graph keeps {held / 1e6:.1f} MB"
+
+
+def test_pair_table_holds_23_bytes_per_pair_and_4_per_entry():
+    """int32 flows and runs, int16 sizes and spans, one upstream flag."""
+    flowset = _flowset()
+    graph = InterferenceGraph(flowset)
+    analyze_batch([Scenario(flowset, IBNAnalysis(), graph=graph)],
+                  early_exit=True)
+    pairs, entries = len(graph.pair_i), len(graph.down_pair)
+    seen = {id(flowset)}
+    held = sum(
+        array.nbytes
+        for value in vars(graph).values()
+        for array in _held_arrays(value, seen)
+        if len(array) in (pairs, pairs + 1, entries)
+    )
+    assert held <= 23 * (pairs + 1) + 4 * entries, (
+        f"pair table holds {(held - 4 * entries) / pairs:.1f} bytes a pair"
+    )
+
+
+def test_route_longer_than_the_span_columns_is_refused(monkeypatch):
+    flowset = _flowset()
+    longest = max(len(flowset.route(f.name)) for f in flowset.flows)
+    monkeypatch.setattr(interference, "_ORDER_MAX", longest - 1)
+    with pytest.raises(ValueError, match=f"the limit is {longest - 1}"):
+        InterferenceGraph(flowset)
+    monkeypatch.setattr(interference, "_ORDER_MAX", longest)
+    InterferenceGraph(flowset)
+
+
+def test_runs_beyond_int32_offsets_are_refused(monkeypatch):
+    flowset = _flowset()
+    entries = len(InterferenceGraph(flowset).down_pair)
+    assert entries
+    monkeypatch.setattr(interference, "_ENTRY_MAX", entries - 1)
+    with pytest.raises(ValueError, match="interference graph too large"):
+        InterferenceGraph(flowset)
+    monkeypatch.setattr(interference, "_ENTRY_MAX", entries)
+    InterferenceGraph(flowset)
