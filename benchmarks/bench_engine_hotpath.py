@@ -8,8 +8,8 @@ the recorded history — see ``benchmarks/record_engine_bench.py``):
   several flow counts, plus the eager suffix table;
 * the fixed-point engine: a full single-analysis pass and the per-flow
   recurrence with a shared graph;
-* warm-started fixed points: the four-analysis Figure-4 verdict chain
-  (shared graph + bisection + warm starts) against four cold runs.
+* the four-analysis Figure-4 verdict chain (shared graph + bisection)
+  against four independent runs.
 """
 
 import pytest
@@ -17,7 +17,7 @@ import pytest
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.core.analyses.sb import SBAnalysis
 from repro.core.analyses.xlwx import XLWXAnalysis
-from repro.core.engine import analyze, compare, is_schedulable
+from repro.core.engine import analyze, is_schedulable
 from repro.core.interference import InterferenceGraph
 from repro.experiments.schedulability_sweep import fig4_specs, spec_verdicts
 from repro.noc.platform import NoCPlatform
@@ -80,8 +80,8 @@ def test_recurrence_only(benchmark, flowset200, graph200):
 
 
 def test_four_analyses_cold(benchmark, flowset200):
-    """Baseline for the warm-start comparison: four independent runs over
-    a freshly built graph (matching what compare() pays per call)."""
+    """Four independent runs over a freshly built graph (what compare()
+    pays per call)."""
 
     def run():
         graph = InterferenceGraph(flowset200)
@@ -92,16 +92,9 @@ def test_four_analyses_cold(benchmark, flowset200):
     benchmark(run)
 
 
-def test_four_analyses_warm_chained(benchmark, flowset200):
-    """compare(): same four analyses warm-started along the pointwise
-    order (graph build included, as in a real campaign)."""
-    analyses = [SBAnalysis(), IBNAnalysis(), IBNAnalysis(), XLWXAnalysis()]
-    benchmark(lambda: compare(flowset200, analyses, stop_at_deadline=True))
-
-
 def test_verdict_chain(benchmark, flowset200):
-    """The sweep kernel: one full Figure-4 verdict (graph + bisected,
-    warm-started chain over SB/XLWX/IBN2/IBN100)."""
+    """The sweep kernel: one full Figure-4 verdict (graph + bisected
+    chain over SB/XLWX/IBN2/IBN100)."""
     specs = fig4_specs()
     result = benchmark(lambda: spec_verdicts(flowset200, specs))
     assert set(result) == {spec.label for spec in specs}

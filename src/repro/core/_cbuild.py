@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 #: Must match REPRO_KERNELS_ABI in _kernels.c.
-KERNELS_ABI = 4
+KERNELS_ABI = 5
 
 SOURCE = Path(__file__).resolve().with_name("_kernels.c")
 

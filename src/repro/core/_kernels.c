@@ -36,7 +36,7 @@
 #include <stdint.h>
 #include <stddef.h>
 
-#define REPRO_KERNELS_ABI 4
+#define REPRO_KERNELS_ABI 5
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -96,7 +96,7 @@ REPRO_EXPORT void repro_run_levels(
     const int64_t *down_offsets,        /* npairs+1 */
     const int32_t *down_pair,           /* wave-major (τj, τk) rows */
     const int64_t *C, const int64_t *T, const int64_t *J, const int64_t *D,
-    const int64_t *BLK, const int64_t *WARM, const int64_t *GIVE,
+    const int64_t *BLK, const int64_t *GIVE,
     int64_t *R, uint8_t *CONV, uint8_t *TAINT, int64_t *BAD,
     int64_t *totals, int64_t *hitcost,
     int64_t *fail_level, int64_t *unsafe_level,  /* per scenario */
@@ -161,16 +161,13 @@ REPRO_EXPORT void repro_run_levels(
                 scr_cost[t] = cost;
             }
 
-            /* Phase B: the fixed point (batch._solve_rows semantics:
-             * unsafe beats convergence beats warm restart beats
+            /* Phase B: the fixed point from the cold start C[slot]
+             * (batch._solve_rows: unsafe beats convergence beats
              * give-up), with the non-preemptive blocking folded in. */
             const int64_t blocking = BLK[slot];
-            const int64_t cold = C[slot];
-            const int64_t base = cold + blocking;
+            const int64_t base = C[slot] + blocking;
             const int64_t give = GIVE[slot];
-            const int64_t warm_v = WARM[slot];
-            int warm = (cold < warm_v) && (warm_v <= give);
-            int64_t r = warm ? warm_v : cold;
+            int64_t r = C[slot];
             int64_t iters = 0;
             int64_t res = 0;
             uint8_t conv = 0, unsafe = 0;
@@ -186,11 +183,6 @@ REPRO_EXPORT void repro_run_levels(
                 if (iters >= max_iterations && !cv) uns = 1;
                 if (uns) { unsafe = 1; break; }
                 if (cv) { res = r; conv = 1; break; }
-                if (warm && (r_new < r || r_new > give)) {
-                    r = cold;
-                    warm = 0;
-                    continue;
-                }
                 if (r_new > give) { res = r_new; break; }
                 r = r_new;
             }

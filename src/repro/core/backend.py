@@ -32,7 +32,6 @@ campaign scheduler additionally ships the name inside each job block
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import os
 import warnings
 from ctypes import c_int64, c_void_p
@@ -79,7 +78,7 @@ _RUN_LEVELS_DTYPES = (
                                           # wave_pair_bounds
     _I32, _I8, _BOOL, _I64, _BOOL,        # pair_j_slot .. pair_use_bound
     _I64, _I32,                           # down_offsets, down_pair
-    _I64, _I64, _I64, _I64, _I64, _I64, _I64,  # C T J D BLK WARM GIVE
+    _I64, _I64, _I64, _I64, _I64, _I64,   # C T J D BLK GIVE
     _I64, _BOOL, _BOOL, _I64, _I64, _I64,  # R CONV TAINT BAD totals hitcost
     _I64, _I64, _I64,                     # fail_level unsafe_level slot_iters
     _I64, _I64, _I64,                     # scr_wj scr_T scr_cost
@@ -144,7 +143,7 @@ class CextBackend(Backend):
         wave_slot_bounds, slot_perm, slot_scn, slot_level, slot_counts,
         wave_pair_bounds, pair_j_slot, pair_mode, pair_fallback,
         pair_bi, pair_use_bound, down_offsets, down_pair,
-        C, T, J, D, BLK, WARM, GIVE,
+        C, T, J, D, BLK, GIVE,
         R, CONV, TAINT, BAD, totals, hitcost,
         fail_level, unsafe_level, slot_iters,
     ) -> None:
@@ -164,7 +163,8 @@ class CextBackend(Backend):
         int64 throughout, except int32 ``pair_j_slot`` and
         ``down_pair``, int8 ``pair_mode`` and the boolean flags.
         """
-        from repro.core.batch import _MAX_ITERATIONS, _SAFE_RESPONSE
+        from repro.core.batch import _SAFE_RESPONSE
+        from repro.util.mathx import MAX_ITERATIONS
 
         max_cnt = int(slot_counts.max()) if len(slot_counts) else 0
         scr_wj = _np.empty(max(max_cnt, 1), dtype=_np.int64)
@@ -172,14 +172,14 @@ class CextBackend(Backend):
         scr_cost = _np.empty(max(max_cnt, 1), dtype=_np.int64)
         lparams = _np.asarray(
             [num_waves, int(bool(early_exit)), _SAFE_RESPONSE,
-             _MAX_ITERATIONS],
+             MAX_ITERATIONS],
             dtype=_np.int64,
         )
         arrays = (
             lparams, wave_slot_bounds, slot_perm, slot_scn, slot_level,
             slot_counts, wave_pair_bounds, pair_j_slot, pair_mode,
             pair_fallback, pair_bi, pair_use_bound, down_offsets, down_pair,
-            C, T, J, D, BLK, WARM, GIVE,
+            C, T, J, D, BLK, GIVE,
             R, CONV, TAINT, BAD, totals, hitcost,
             fail_level, unsafe_level, slot_iters,
             scr_wj, scr_T, scr_cost,

@@ -21,8 +21,8 @@ batch at once:
   .InterferenceGraph`), stacked as it is, so buffer variants and
   repeated analyses of the same flows share it;
 * per-iteration masking retires converged (scenario, flow) cells: rows
-  leave the working arrays the moment their recurrence converges,
-  overruns its give-up cut-off, or (for warm starts) must replay cold;
+  leave the working arrays the moment their recurrence converges or
+  overruns its give-up cut-off;
 * scenarios may be **ragged** (different flow counts) and **mixed**
   (different analyses, buffer maps, payloads, periods, priorities);
   a scenario simply stops contributing rows beyond its own depth;
@@ -33,11 +33,11 @@ batch at once:
 
 Equivalence contract: :func:`analyze_batch` returns
 :class:`~repro.core.engine.AnalysisResult` objects **byte-identical**
-to scalar :func:`~repro.core.engine.analyze` calls — same iterates,
-same convergence/taint flags, same early-exit truncation, same
-warm-start acceptance rules (a failed warm attempt replays cold).  The
-scalar engine stays the oracle; `tests/core/test_batch_equivalence.py`
-enforces the contract on randomized platforms.
+to scalar :func:`~repro.core.engine.analyze` calls — same iterates from
+the same cold start, same convergence/taint flags, same early-exit
+truncation.  The scalar engine stays the oracle;
+`tests/core/test_batch_equivalence.py` enforces the contract on
+randomized platforms.
 
 Scalar fallback: a scenario is handed back to :func:`analyze` when
 
@@ -68,7 +68,6 @@ from repro.core.engine import (
     AnalysisResult,
     FlowResult,
     _flow_result_fast,
-    _timing_equal,
     analyze,
 )
 from repro.core.interference import (
@@ -77,16 +76,13 @@ from repro.core.interference import (
     _gather_segments,
 )
 from repro.flows.flowset import FlowSet
+from repro.util.mathx import MAX_ITERATIONS
 
 #: Iterates beyond this divert the scenario to the scalar engine before
 #: int64 products could overflow (Python ints are unbounded there).
 _SAFE_RESPONSE = 1 << 59
 #: Largest flow slot or pair row a batch may number: both are int32.
 _INDEX_MAX = _np.iinfo(_np.int32).max
-#: Per-recurrence iteration budget; must match
-#: :func:`repro.util.mathx.fixed_point` so diverted scenarios report the
-#: same ``FixedPointDiverged`` outcome through the scalar replay.
-_MAX_ITERATIONS = 100_000
 
 _MODE_SB = 0
 _MODE_XLWX = 1
@@ -103,15 +99,12 @@ class Scenario:
     """One cell of a batch: a flow set analysed by one analysis.
 
     ``graph`` optionally shares a pre-built interference graph (as with
-    scalar :func:`~repro.core.engine.analyze`); ``warm_from`` optionally
-    warm-starts each flow's fixed point from a pointwise-tighter result
-    under the same rules as the scalar engine.
+    scalar :func:`~repro.core.engine.analyze`).
     """
 
     flowset: FlowSet
     analysis: Analysis
     graph: InterferenceGraph | None = None
-    warm_from: AnalysisResult | None = None
 
 
 def batchable(analysis: Analysis) -> bool:
@@ -135,7 +128,7 @@ class _Plan:
 
     __slots__ = (
         "scenario", "graph", "mode", "n", "c", "period", "jitter",
-        "deadline", "blocking", "warm", "use_bound", "any_upstream",
+        "deadline", "blocking", "use_bound", "any_upstream",
     )
 
 
@@ -178,7 +171,6 @@ def _build_plan(scenario: Scenario) -> _Plan:
         plan.blocking = (platform.linkl - 1) * graph.lower_counts
     else:
         plan.blocking = _np.zeros(n, dtype=_np.int64)
-    plan.warm = _warm_array(scenario, plan)
     ibn, analysis = plan.mode == _MODE_IBN, scenario.analysis
     plan.use_bound = ibn and analysis.use_buffer_bound
     plan.any_upstream = ibn and analysis.upstream_rule == "any_upstream"
@@ -203,28 +195,6 @@ def _pair_bi(platform, graph):
         ],
         dtype=_np.int64,
     )
-
-
-def _warm_array(scenario: Scenario, plan: _Plan):
-    """Per-flow warm-start values (0 = cold), scalar-engine rules."""
-    warm = _np.zeros(plan.n, dtype=_np.int64)
-    source = scenario.warm_from
-    if source is None:
-        return warm
-    graph = scenario.graph
-    if not (
-        graph.compatible_with(source.flowset)
-        and _timing_equal(
-            scenario.flowset.platform, source.flowset.platform
-        )
-    ):
-        return warm
-    source_flows = source.flows
-    for index, flow in enumerate(scenario.flowset.flows):
-        record = source_flows.get(flow.name)
-        if record is not None and record.converged and not record.tainted:
-            warm[index] = record.response_time
-    return warm
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +230,15 @@ def _ceil_div(numer, denom):
 # The batched fixed point.
 # ---------------------------------------------------------------------------
 
-def _solve_rows(start, warm_active, base, give, cold, wj, period, cost,
-                counts):
+def _solve_rows(start, base, give, wj, period, cost, counts):
     """Solve one wave's recurrences for all rows simultaneously.
 
     Returns ``(response, converged, iterations, unsafe)`` per row, with
-    the exact iterate sequence of the scalar engine: converged rows keep
-    the fixed point, overrun rows keep the first iterate beyond their
-    give-up, failed warm attempts replay from the cold start.  Rows
-    whose iterate approaches the int64 safety bound (or the iteration
-    budget) are flagged ``unsafe`` for scalar diversion.
+    the exact iterate sequence of the scalar engine from the cold start
+    ``start``: converged rows keep the fixed point, overrun rows keep the
+    first iterate beyond their give-up.  Rows whose iterate approaches
+    the int64 safety bound (or the iteration budget) are flagged
+    ``unsafe`` for scalar diversion.
     """
     nrows = len(start)
     out_r = _np.zeros(nrows, dtype=_np.int64)
@@ -277,8 +246,7 @@ def _solve_rows(start, warm_active, base, give, cold, wj, period, cost,
     out_iters = _np.zeros(nrows, dtype=_np.int64)
     out_unsafe = _np.zeros(nrows, dtype=bool)
     idx = _np.arange(nrows, dtype=_np.int64)
-    r = start.copy()
-    warm = warm_active.copy()
+    r = start
     iteration = 0
     while len(idx):
         iteration += 1
@@ -287,16 +255,11 @@ def _solve_rows(start, warm_active, base, give, cold, wj, period, cost,
         r_new = base + _segment_sums(contrib, counts)
         out_iters[idx] += 1
         conv = r_new == r
-        over = r_new > give
-        dec = r_new < r
         unsafe = (r_new > _SAFE_RESPONSE) | (r_new < base)
-        if iteration >= _MAX_ITERATIONS:
+        if iteration >= MAX_ITERATIONS:
             unsafe |= ~conv
-        # Failed warm attempts (overran the cut-off or the start was
-        # invalid and the map dipped) restart from the cold start.
-        restart = warm & ~conv & (dec | over) & ~unsafe
         finish_ok = conv & ~unsafe
-        finish_fail = over & ~conv & ~warm & ~unsafe
+        finish_fail = (r_new > give) & ~conv & ~unsafe
         done = finish_ok | finish_fail | unsafe
         out_r[idx[finish_ok]] = r[finish_ok]
         out_conv[idx[finish_ok]] = True
@@ -305,8 +268,7 @@ def _solve_rows(start, warm_active, base, give, cold, wj, period, cost,
         cont = ~done
         if not cont.any():
             break
-        r = _np.where(restart, cold, r_new)[cont]
-        warm = (warm & ~restart)[cont]
+        r = r_new[cont]
         idx = idx[cont]
         if not cont.all():
             keep_pairs = _np.repeat(cont, counts)
@@ -316,7 +278,6 @@ def _solve_rows(start, warm_active, base, give, cold, wj, period, cost,
             counts = counts[cont]
             base = base[cont]
             give = give[cont]
-            cold = cold[cont]
     return out_r, out_conv, out_iters, out_unsafe
 
 
@@ -347,11 +308,11 @@ def analyze_batch(
 
     Results are byte-identical to calling scalar
     :func:`~repro.core.engine.analyze` per scenario with the same
-    ``stop_at_deadline``/``early_exit``/``warm_from`` arguments, in the
-    input order.  Scenarios whose analysis the array program cannot
-    express are transparently answered by the scalar engine (see the
-    module docstring for the triggers); pass ``report`` to observe
-    which path served each scenario.
+    ``stop_at_deadline``/``early_exit`` arguments, in the input order.
+    Scenarios whose analysis the array program cannot express are
+    transparently answered by the scalar engine (see the module
+    docstring for the triggers); pass ``report`` to observe which path
+    served each scenario.
     """
     scenarios = list(scenarios)
     if report is None:
@@ -389,7 +350,6 @@ def analyze_batch(
             graph=scenario.graph,
             stop_at_deadline=stop_at_deadline,
             early_exit=early_exit,
-            warm_from=scenario.warm_from,
         )
         report.scalar_fallbacks.append(index)
     report.scalar_fallbacks.sort()
@@ -577,7 +537,6 @@ def _compose(plans, *, stop_at_deadline) -> _Composed:
             "J": _np.concatenate([p.jitter for p in plans]),
             "D": D,
             "BLK": _np.concatenate([p.blocking for p in plans]),
-            "WARM": _np.concatenate([p.warm for p in plans]),
             "GIVE": GIVE,
         },
         sizes,
@@ -588,7 +547,7 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
                 slot_scn, slot_level, slot_counts, wave_pair_bounds,
                 pair_j_slot, pair_mode, pair_fallback, pair_bi,
                 pair_use_bound, down_offsets, down_pair,
-                C, T, J, D, BLK, WARM, GIVE,
+                C, T, J, D, BLK, GIVE,
                 R, CONV, TAINT, BAD, totals, hitcost,
                 fail_level, unsafe_level, slot_iters):
     """The numpy wave loop: one vectorised step per dependency wave.
@@ -611,7 +570,6 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
     need_eq8 = bool(modes[_MODE_IBN])
     need_sum = xlwx_present or need_eq8
     has_blocking = bool(BLK.any())
-    any_warm = bool(WARM.any())
     frontier = None  # per scenario: min(fail_level, unsafe_level)
 
     for wave in range(num_waves):
@@ -692,7 +650,6 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
         hitcost[sel] = cost
 
         cold = C[slots]
-        give = GIVE[slots]
         if has_blocking:
             blocking = BLK[slots]
             base = cold + blocking
@@ -700,15 +657,8 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
         else:
             base = cold
             iter_cost = cost
-        if any_warm:
-            warm = WARM[slots]
-            warm_ok = (cold < warm) & (warm <= give)
-            start = _np.where(warm_ok, warm, cold)
-        else:
-            warm_ok = _np.zeros(len(slots), dtype=bool)
-            start = cold
         r_fin, conv_fin, iters, unsafe = _solve_rows(
-            start, warm_ok, base, give, cold, wj, T[pj], iter_cost, counts
+            cold, base, GIVE[slots], wj, T[pj], iter_cost, counts
         )
         slot_iters[slots] = iters
         if unsafe.any():

@@ -12,29 +12,23 @@ cost ``C_k + I^down_kj`` and total contribution ``I_kj`` of *their*
 interferers) refers strictly up the priority order, so a single pass
 suffices and no global fixed point across flows is required.
 
-Warm-started fixed points
--------------------------
-All recurrences in this family are monotone non-decreasing integer maps,
-and the analyses are pointwise ordered: with shared flows/routes/timing,
+Pointwise order
+---------------
+Every recurrence starts cold at ``C_i``.  All recurrences in this family
+are monotone non-decreasing integer maps, and the analyses are pointwise
+ordered: with shared flows/routes/timing,
 ``R^SB_i ≤ R^IBN(b)_i ≤ R^IBN(b')_i ≤ R^XLWX_i`` for buffer depths
 ``b ≤ b'`` (each looser analysis evaluates a pointwise-larger recurrence
-given pointwise-larger inputs, by induction up the priority order).  A
-*converged* bound of a tighter analysis is therefore a valid starting
-iterate for a looser one: it is ≤ the looser fixed point, and iterating a
-monotone map from any point between the cold start and the least fixed
-point reaches that same fixed point.  :func:`analyze` accepts such a
-result via ``warm_from`` and typically collapses most iterations;
-:func:`compare` (and the sweep campaigns) chain the analyses along
-:func:`analysis_pointwise_le` automatically.  Results are identical to
-cold runs in every field — when a warm-started iteration fails to
-converge, the cold iteration is replayed so even the reported
-beyond-deadline iterate matches.
+given pointwise-larger inputs, by induction up the priority order).
+:func:`analysis_pointwise_le` encodes the provable pairs; the sweep
+campaigns bisect their verdict chains along it, since a deadline missed
+under a tighter analysis is missed under every looser one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.core.analyses.base import Analysis, AnalysisContext
 from repro.core.analyses.ibn import IBNAnalysis
@@ -162,41 +156,6 @@ class AnalysisResult:
         return self.flows[name]
 
 
-def _solve_recurrence(
-    recurrence: Callable[[int], int],
-    cold_start: int,
-    warm_start: int,
-    give_up: int,
-) -> tuple[int, bool]:
-    """Fixed point of ``recurrence``, byte-identical to a cold start.
-
-    When ``cold_start < warm_start ≤ give_up`` the iteration begins
-    there; a valid warm start (≤ the least fixed point above
-    ``cold_start``) converges to exactly the cold result.  A warm start
-    already beyond ``give_up`` is ignored outright — a cold run can never
-    *converge* above the cut-off, only report the first iterate crossing
-    it, so starting there could fabricate a converged verdict (e.g. an
-    exact ``stop_at_deadline=False`` bound warm-starting a capped run).
-    If the warm iteration fails to converge — it overran ``give_up``,
-    hit the iteration budget, or the start was invalid (the recurrence
-    dipped below it) — the cold iteration is replayed so the reported
-    iterate matches a cold run bit for bit.
-    """
-    if cold_start < warm_start <= give_up:
-        try:
-            response, converged = fixed_point(
-                recurrence, warm_start, give_up_above=give_up
-            )
-            if converged:
-                return response, True
-        except (FixedPointDiverged, ValueError):
-            pass
-    try:
-        return fixed_point(recurrence, cold_start, give_up_above=give_up)
-    except FixedPointDiverged as diverged:
-        return diverged.last_value, False
-
-
 def analyze(
     flowset: FlowSet,
     analysis: Analysis,
@@ -205,7 +164,6 @@ def analyze(
     stop_at_deadline: bool = True,
     early_exit: bool = False,
     collect_breakdown: bool = False,
-    warm_from: "AnalysisResult | None" = None,
 ) -> AnalysisResult:
     """Compute worst-case response times for every flow of ``flowset``.
 
@@ -226,30 +184,11 @@ def analyze(
     collect_breakdown:
         Record per-interferer terms on each
         :class:`FlowResult` (memory-heavy on large sets; off by default).
-    warm_from:
-        Result of a *pointwise tighter or equal* analysis over the same
-        flows/routes/timing (see :func:`analysis_pointwise_le` and the
-        module docstring) used to warm-start each flow's fixed point.
-        Only converged, untainted per-flow bounds are used; the returned
-        result is identical to a cold run in every field.  The caller is
-        responsible for the ordering — an invalid source can silently
-        produce a larger fixed point.
     """
     if graph is None:
         graph = InterferenceGraph(flowset)
     elif not graph.compatible_with(flowset):
         raise ValueError("interference graph was built for a different flow set")
-    warm_flows: Mapping[str, FlowResult] | None = None
-    if (
-        warm_from is not None
-        and graph.compatible_with(warm_from.flowset)
-        and _timing_equal(flowset.platform, warm_from.flowset.platform)
-    ):
-        # Both checks matter: the graph check ignores linkl/routl (the
-        # geometry is latency-agnostic), but a warm source computed under
-        # different timing could exceed this recurrence's fixed point and
-        # silently inflate it.  Incompatible sources degrade to cold runs.
-        warm_flows = warm_from.flows
     ctx = AnalysisContext(flowset=flowset, graph=graph)
     results: dict[str, FlowResult] = {}
     complete = True
@@ -324,16 +263,12 @@ def analyze(
             return total
 
         give_up = flow.deadline if stop_at_deadline else RESPONSE_CAP
-        warm_start = 0
-        if warm_flows is not None:
-            warm = warm_flows.get(flow.name)
-            # Only a converged, untainted bound is a true fixed point of a
-            # pointwise-smaller recurrence, hence a safe starting iterate.
-            if warm is not None and warm.converged and not warm.tainted:
-                warm_start = warm.response_time
-        response, converged = _solve_recurrence(
-            recurrence, c_i, warm_start, give_up
-        )
+        try:
+            response, converged = fixed_point(
+                recurrence, c_i, give_up_above=give_up
+            )
+        except FixedPointDiverged as diverged:
+            response, converged = diverged.last_value, False
 
         ctx.response[i] = response
         ctx.converged[i] = converged
@@ -386,12 +321,9 @@ def is_schedulable(
     analysis: Analysis,
     *,
     graph: InterferenceGraph | None = None,
-    warm_from: AnalysisResult | None = None,
 ) -> bool:
     """Fast set-level verdict: does every flow meet its deadline?"""
-    result = analyze(
-        flowset, analysis, graph=graph, early_exit=True, warm_from=warm_from
-    )
+    result = analyze(flowset, analysis, graph=graph, early_exit=True)
     return result.complete and result.schedulable
 
 
@@ -466,12 +398,12 @@ def analysis_pointwise_le(
 
 
 def tightness_rank(analysis: Analysis, platform: NoCPlatform) -> tuple[int, int]:
-    """Heuristic execution order so tighter analyses run first and their
-    results are available as warm starts.  Validity is always re-checked
-    with :func:`analysis_pointwise_le`; this only orders the attempts.
-    Analysis subclasses unknown to this module get the last rank — they
-    simply run cold, with no warm-start or verdict-inference
-    participation, which is always safe."""
+    """Position in the tightness chain that verdict bisection sorts by
+    (:func:`repro.experiments.schedulability_sweep.spec_verdicts`).
+    Validity is always re-checked with :func:`analysis_pointwise_le`;
+    this only orders the attempts.  Analysis subclasses unknown to this
+    module get the last rank — they take no part in verdict inference,
+    which is always safe."""
     if isinstance(analysis, SBAnalysis):
         return (0, 0)
     if isinstance(analysis, IBNAnalysis):
@@ -496,37 +428,16 @@ def compare(
     analyses were given.  The default ``stop_at_deadline=False`` yields
     exact fixed points (suitable for latency tables like the paper's
     Table II).
-
-    Internally the analyses execute tightest-first so each can warm-start
-    from the closest pointwise-tighter result already computed (module
-    docstring); every returned result is identical to a cold run.
     """
     graph = InterferenceGraph(flowset)
-    ordered = sorted(
-        enumerate(analyses),
-        key=lambda item: (tightness_rank(item[1], flowset.platform), item[0]),
-    )
-    computed: dict[int, AnalysisResult] = {}
-    sources: list[tuple[Analysis, AnalysisResult]] = []
-    for index, analysis in ordered:
-        warm = None
-        for src_analysis, src_result in reversed(sources):
-            if analysis_pointwise_le(
-                src_analysis, analysis, flowset.platform, flowset.platform
-            ):
-                warm = src_result
-                break
+    results: dict[str, AnalysisResult] = {}
+    for analysis in analyses:
         result = analyze(
             flowset,
             analysis,
             graph=graph,
             stop_at_deadline=stop_at_deadline,
             collect_breakdown=collect_breakdown,
-            warm_from=warm,
         )
-        computed[index] = result
-        sources.append((analysis, result))
-    return {
-        computed[index].analysis_name: computed[index]
-        for index in sorted(computed)
-    }
+        results[result.analysis_name] = result
+    return results

@@ -108,6 +108,8 @@ class InterferenceGraph:
         self._index = {f.name: idx for idx, f in enumerate(flows)}
         self._routes = [flowset.route(f.name) for f in flows]
         self._build()
+        # After _build returns, so its int64 temporaries are freed first.
+        self._partition()
 
     # -- construction -------------------------------------------------------
 
@@ -199,7 +201,6 @@ class InterferenceGraph:
         self.pair_hi_i = hi_i.astype(np.int16)
         self.pair_lo_j = lo_j.astype(np.int16)
         self.pair_hi_j = hi_j.astype(np.int16)
-        self._partition()
 
     def _partition(self) -> None:
         """Every row's downstream run and upstream-nonempty flag.

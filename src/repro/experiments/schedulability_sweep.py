@@ -14,9 +14,8 @@ Per-set verdict chain: the analyses are pointwise ordered
 (``R^SB ≤ R^IBN2 ≤ R^IBN100 ≤ R^XLWX``, see :mod:`repro.core.engine`),
 which makes the verdict vector along the chain monotone — True prefix,
 False suffix.  :func:`spec_verdicts` bisects that boundary, typically
-deciding all four curves with two analysis runs, warm-starting looser
-runs from tighter results when available.  Verdicts are identical to
-running each analysis cold; only the work changes.
+deciding all four curves with two analysis runs.  Verdicts are
+identical to running each analysis on its own; only the work changes.
 
 Orchestration: this experiment runs on the campaign engine
 (:mod:`repro.campaigns`).  :func:`schedulability_spec` describes the
@@ -40,7 +39,6 @@ stores and goldens) are identical to the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.campaigns.progress import Progress
@@ -135,14 +133,13 @@ class _VerdictState:
 
     Encapsulates exactly the decision sequence of the original
     ``spec_verdicts`` loop — midpoint selection over the
-    tightness-sorted undecided list, warm-source lookup, verdict
-    propagation along the pointwise partial order — so the scalar path
-    and the batched path (:func:`spec_verdicts_batch`) provably make
-    identical decisions; only who computes each analysis differs.
+    tightness-sorted undecided list, verdict propagation along the
+    pointwise partial order — so the scalar path and the batched path
+    (:func:`spec_verdicts_batch`) provably make identical decisions;
+    only who computes each analysis differs.
     """
 
-    __slots__ = ("specs", "flowsets", "graph", "by_tightness", "verdicts",
-                 "sources")
+    __slots__ = ("specs", "flowsets", "graph", "by_tightness", "verdicts")
 
     def __init__(
         self,
@@ -171,37 +168,24 @@ class _VerdictState:
             ),
         )
         self.verdicts: dict[int, bool] = {}
-        self.sources: list[tuple[int, object]] = []
 
     @property
     def done(self) -> bool:
         return len(self.verdicts) >= len(self.specs)
 
-    def pick(self) -> tuple[int, FlowSet, object, object]:
-        """Next (spec index, flowset, analysis, warm source) to run."""
+    def pick(self) -> tuple[int, FlowSet, Analysis]:
+        """Next (spec index, flowset, analysis) to run."""
         undecided = [
             idx for idx in self.by_tightness if idx not in self.verdicts
         ]
         idx = undecided[len(undecided) // 2]
-        spec, flowset = self.specs[idx], self.flowsets[idx]
-        warm = None
-        for tight_idx, tight_result in reversed(self.sources):
-            if analysis_pointwise_le(
-                self.specs[tight_idx].analysis,
-                spec.analysis,
-                self.flowsets[tight_idx].platform,
-                flowset.platform,
-            ):
-                warm = tight_result
-                break
-        return idx, flowset, spec.analysis, warm
+        return idx, self.flowsets[idx], self.specs[idx].analysis
 
     def absorb(self, idx: int, result) -> None:
         """Record one analysis result and propagate its verdict."""
         spec, flowset = self.specs[idx], self.flowsets[idx]
         verdict = result.complete and result.schedulable
         self.verdicts[idx] = verdict
-        self.sources.append((idx, result))
         for other in self.by_tightness:
             if other in self.verdicts:
                 continue
@@ -246,21 +230,17 @@ def spec_verdicts(
     * the verdict vector along the tightness-sorted chain is therefore
       monotone — True prefix, False suffix — so the undecided boundary is
       located by **bisection**, typically running 2 of the 4 Figure-4
-      analyses per set instead of all of them;
-    * when a pointwise-tighter result happens to be available it also
-      warm-starts the looser run's fixed points.
+      analyses per set instead of all of them.
 
-    Verdicts are identical to running every spec cold; the dict order
-    follows ``specs``.
+    Verdicts are identical to running every spec on its own; the dict
+    order follows ``specs``.
     """
     if graph is None:
         graph = InterferenceGraph(base_flowset)
     state = _VerdictState(base_flowset, specs, graph)
     while not state.done:
-        idx, flowset, analysis, warm = state.pick()
-        result = analyze(
-            flowset, analysis, graph=graph, early_exit=True, warm_from=warm
-        )
+        idx, flowset, analysis = state.pick()
+        result = analyze(flowset, analysis, graph=graph, early_exit=True)
         state.absorb(idx, result)
     return state.labelled()
 
@@ -293,23 +273,17 @@ def spec_verdicts_batch(
     while pending:
         picked = [(state, state.pick()) for state in pending]
         scenarios = [
-            Scenario(flowset, analysis, graph=state.graph, warm_from=warm)
-            for state, (_, flowset, analysis, warm) in picked
+            Scenario(flowset, analysis, graph=state.graph)
+            for state, (_, flowset, analysis) in picked
         ]
         if sum(len(s.flowset) for s in scenarios) >= MIN_BATCH_FLOWS:
             results = analyze_batch(scenarios, early_exit=True)
         else:
             results = [
-                analyze(
-                    s.flowset,
-                    s.analysis,
-                    graph=s.graph,
-                    early_exit=True,
-                    warm_from=s.warm_from,
-                )
+                analyze(s.flowset, s.analysis, graph=s.graph, early_exit=True)
                 for s in scenarios
             ]
-        for (state, (idx, _, _, _)), result in zip(picked, results):
+        for (state, (idx, _, _)), result in zip(picked, results):
             state.absorb(idx, result)
         pending = [state for state in pending if not state.done]
     return [state.labelled() for state in states]

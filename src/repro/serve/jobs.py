@@ -239,9 +239,9 @@ def run_analyze_many(params_list: Sequence[Mapping[str, Any]]) -> list[dict]:
     Single-analysis requests become scenarios of one
     :func:`~repro.core.batch.analyze_batch` call (mixed analyses,
     topologies and buffer depths welcome); ``analysis == "all"``
-    requests keep the scalar :func:`~repro.core.engine.compare` chain,
-    which already warm-starts internally.  Each returned body is
-    byte-identical to what :func:`run_analyze` produces for that
+    requests keep the scalar :func:`~repro.core.engine.compare`, which
+    shares one interference graph across the analyses.  Each returned
+    body is byte-identical to what :func:`run_analyze` produces for that
     request, so cache entries from either path are interchangeable.
     """
     from repro.core.batch import Scenario, analyze_batch

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from typing import Callable
 
+#: Per-recurrence iteration budget of :func:`fixed_point`; the batch
+#: engine and its C kernel divert to the scalar engine at the same count.
+MAX_ITERATIONS = 100_000
+
 
 class FixedPointDiverged(Exception):
     """Raised when a response-time recurrence exceeds its iteration budget.
@@ -54,7 +58,7 @@ def fixed_point(
     start: int,
     *,
     give_up_above: int | None = None,
-    max_iterations: int = 100_000,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[int, bool]:
     """Iterate ``x_{n+1} = recurrence(x_n)`` from ``start`` to a fixed point.
 

@@ -5,7 +5,9 @@ result — unknown or broken backends degrade to numpy with one warning
 and byte-identical output.  These tests exercise the registry and
 selection order (explicit call > ``REPRO_BACKEND`` > default), the
 broken-extension fallback path with a deliberately failing loader, the
-``repro backend`` CLI diagnostic and the serve config validation.
+``repro backend`` CLI diagnostic and the serve config validation.  A
+host with a C compiler must load ``cext``: the equivalence suites run
+their C half only where it is available.
 """
 
 import warnings
@@ -162,6 +164,20 @@ class TestBrokenExtensionFallback:
         cold = analyze(flowset, IBNAnalysis())
         assert batch.flows == cold.flows
         assert batch.complete == cold.complete
+
+
+class TestCextLoads:
+    def test_cext_loads_wherever_a_compiler_exists(self, monkeypatch,
+                                                   tmp_path):
+        """A compile error or an ABI-stamp mismatch fails here instead of
+        silently dropping the C half of the equivalence suites."""
+        from repro.core import _cbuild
+
+        if _cbuild.compiler() is None:
+            pytest.skip("no C compiler on this host")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        cext = CextBackend()
+        assert cext.available(), cext.detail()
 
 
 class TestCli:

@@ -2,11 +2,12 @@
 
 :func:`repro.core.batch.analyze_batch` promises results **byte
 identical** to scalar :func:`repro.core.engine.analyze` calls — same
-response times, convergence and taint flags, early-exit truncation and
-warm-start acceptance.  These property-style tests enforce that across
-randomized platforms, heterogeneous buffer maps, multi-cycle links,
-ragged batches, mixed analyses, degenerate single-flow sets, and the
-consumers built on top (verdict chains, chunk/block executors).
+response times, convergence and taint flags and early-exit truncation.
+These property-style tests enforce that across randomized platforms,
+heterogeneous buffer maps, multi-cycle links, ragged batches, mixed
+analyses, repeated rows, timing variants sharing a graph, degenerate
+single-flow sets, and the consumers built on top (verdict chains,
+chunk/block executors).
 """
 
 import pytest
@@ -158,61 +159,77 @@ class TestScenarioEquivalence:
             analyze_batch([Scenario(a, SBAnalysis(), graph=graph_b)])
 
 
-class TestWarmStarts:
+class TestColdStarts:
+    """Every row starts its recurrence at C_i, whatever else the batch
+    holds."""
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(10, 60), st.integers(0, 10**6))
-    def test_warm_started_batch_equals_cold(self, n, seed):
-        """Warm results identical; iteration counts strictly drop."""
-        flowset = _random_flowset(n, seed, tag="warm")
+    def test_repeated_scenario_rows_are_identical(self, n, seed):
+        """A tighter analysis beside two copies of a looser one on one
+        graph: each row equals its scalar run and the copies spend the
+        same iterations."""
+        flowset = _random_flowset(n, seed, tag="cold-rows")
         graph = InterferenceGraph(flowset)
-        tight = analyze(flowset, SBAnalysis(), graph=graph)
-        report = BatchReport(2)
-        warm, cold = analyze_batch(
+        report = BatchReport(3)
+        tight, loose, again = analyze_batch(
             [
-                Scenario(flowset, XLWXAnalysis(), graph=graph,
-                         warm_from=tight),
+                Scenario(flowset, SBAnalysis(), graph=graph),
+                Scenario(flowset, XLWXAnalysis(), graph=graph),
                 Scenario(flowset, XLWXAnalysis(), graph=graph),
             ],
             report=report,
         )
-        _assert_results_equal(warm, cold)
         _assert_results_equal(
-            warm, analyze(flowset, XLWXAnalysis(), graph=graph,
-                          warm_from=tight)
+            tight, analyze(flowset, SBAnalysis(), graph=graph)
         )
-        assert report.iterations[0] <= report.iterations[1]
+        _assert_results_equal(
+            loose, analyze(flowset, XLWXAnalysis(), graph=graph)
+        )
+        _assert_results_equal(again, loose)
+        assert report.iterations[1] == report.iterations[2]
 
-    def test_invalid_timing_warm_source_degrades_to_cold(self):
-        flowset = _random_flowset(20, 5, tag="warm-timing")
-        slow_platform = NoCPlatform(
+    def test_timing_variants_share_a_graph(self):
+        """Rows on one graph but different linkl/routl each read their
+        own platform's timing."""
+        flowset = _random_flowset(20, 5, tag="cold-timing")
+        slow = flowset.on_platform(NoCPlatform(
             flowset.platform.topology, buf=2, linkl=3, routl=1
+        ))
+        graph = InterferenceGraph(flowset)
+        results = analyze_batch(
+            [Scenario(variant, SBAnalysis(), graph=graph)
+             for variant in (flowset, slow)]
         )
-        slow = analyze(flowset.on_platform(slow_platform), SBAnalysis())
-        batch = analyze_batch(
-            [Scenario(flowset, SBAnalysis(), warm_from=slow)]
-        )[0]
-        _assert_results_equal(batch, analyze(flowset, SBAnalysis()))
+        for variant, result in zip((flowset, slow), results):
+            _assert_results_equal(result, analyze(variant, SBAnalysis()))
+        assert results[0].flows != results[1].flows
 
-    def test_exact_warm_source_into_capped_run(self):
-        """A beyond-deadline exact bound must not fabricate a converged
-        verdict through the batched warm path either."""
-        platform = NoCPlatform(Mesh2D(4, 1), buf=2)
+    def test_capped_bound_beyond_the_deadline_is_not_converged(self):
+        """The capped run stops "lo" at its deadline, unconverged; only
+        the exact run converges beyond it."""
         flowset = FlowSet(
-            platform,
+            NoCPlatform(Mesh2D(4, 1), buf=2),
             [
                 Flow("hi", priority=1, period=110, length=100, src=0, dst=3),
                 Flow("lo", priority=2, period=400, length=200, src=1, dst=3),
             ],
         )
         graph = InterferenceGraph(flowset)
-        exact = analyze(
-            flowset, SBAnalysis(), graph=graph, stop_at_deadline=False
-        )
-        batch = analyze_batch(
-            [Scenario(flowset, SBAnalysis(), graph=graph, warm_from=exact)]
-        )[0]
-        _assert_results_equal(batch, analyze(flowset, SBAnalysis(),
-                                             graph=graph))
+        runs = {}
+        for stop in (False, True):
+            runs[stop] = analyze_batch(
+                [Scenario(flowset, SBAnalysis(), graph=graph)],
+                stop_at_deadline=stop,
+            )[0]
+            _assert_results_equal(
+                runs[stop],
+                analyze(flowset, SBAnalysis(), graph=graph,
+                        stop_at_deadline=stop),
+            )
+        exact, capped = runs[False]["lo"], runs[True]["lo"]
+        assert exact.converged and exact.response_time > exact.deadline
+        assert not capped.converged and not capped.schedulable
 
 
 class TestFallbacks:

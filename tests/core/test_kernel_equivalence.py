@@ -1,6 +1,6 @@
 """Kernel equivalence: the optimized hot path vs the seed semantics.
 
-The analysis kernel (bitmask interference graph, warm-started engine,
+The analysis kernel (bitmask interference graph, shared-graph engine,
 bisected verdict chain) promises *byte-identical* results to the plain
 implementation it replaced.  These property-style tests enforce that:
 
@@ -10,9 +10,11 @@ implementation it replaced.  These property-style tests enforce that:
   set, up/down partition and suffix count, across meshes, seeds and flow
   counts up to Figure 4's, and a set whose contention domain has a gap
   must be rejected;
-* :func:`compare`'s warm-started runs must equal cold :func:`analyze`
-  runs field-for-field (every ``FlowResult``, including unconverged
-  iterates and taint flags), across buffer depths and deadline modes;
+* :func:`compare`'s shared-graph runs must equal :func:`analyze` runs
+  on their own field-for-field (every ``FlowResult``, including
+  unconverged iterates and taint flags), across deadline modes, and a
+  graph shared with a buffer or timing variant must give the answers of
+  the variant's own graph;
 * :func:`spec_verdicts`'s bisection/short-circuit chain must equal
   cold per-spec verdicts;
 * chunked/parallel sweeps must equal the serial sweep.
@@ -235,19 +237,6 @@ class TestEngineEquivalence:
             assert warm.complete == cold.complete
             assert warm.unsafe == cold.unsafe
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(10, 60), st.integers(0, 10**6), st.sampled_from([2, 4, 100]))
-    def test_warm_from_buffer_variant(self, n, seed, large_buf):
-        """IBN warm-started across buffer depths equals the cold run."""
-        flowset = _random_flowset(4, 4, n, seed, tag="warm-buf")
-        graph = InterferenceGraph(flowset)
-        tight = analyze(flowset, IBNAnalysis(), graph=graph)
-        variant = flowset.on_platform(flowset.platform.with_buffers(large_buf))
-        cold = analyze(variant, IBNAnalysis(), graph=graph)
-        warm = analyze(variant, IBNAnalysis(), graph=graph, warm_from=tight)
-        assert warm.flows == cold.flows
-        assert warm.complete == cold.complete
-
     @settings(max_examples=10, deadline=None)
     @given(st.integers(10, 60), st.integers(0, 10**6))
     def test_xlw16_not_warm_chained_but_identical(self, n, seed):
@@ -260,11 +249,24 @@ class TestEngineEquivalence:
                        stop_at_deadline=False)
         assert results["XLW16"].flows == cold.flows
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(10, 60), st.integers(0, 10**6), st.sampled_from([2, 4, 100]))
+    def test_buffer_variant_on_a_shared_graph(self, n, seed, large_buf):
+        """IBN on a buffer variant, reusing the base set's graph, equals
+        the run that builds its own graph."""
+        flowset = _random_flowset(4, 4, n, seed, tag="shared-buf")
+        graph = InterferenceGraph(flowset)
+        variant = flowset.on_platform(flowset.platform.with_buffers(large_buf))
+        shared = analyze(variant, IBNAnalysis(), graph=graph)
+        own = analyze(variant, IBNAnalysis())
+        assert shared.flows == own.flows
+        assert shared.complete == own.complete
 
-class TestWarmStartEdges:
-    def test_exact_warm_source_into_capped_run(self):
-        """A converged-beyond-deadline exact bound must not fabricate a
-        converged verdict when warm-starting a stop_at_deadline run."""
+
+class TestSharedGraphEdges:
+    def test_capped_bound_beyond_the_deadline_is_not_converged(self):
+        """A bound that converges beyond the deadline in the exact run is
+        stopped at the deadline, unconverged, in the capped run."""
         platform = NoCPlatform(Mesh2D(4, 1), buf=2)
         flowset = FlowSet(
             platform,
@@ -277,23 +279,26 @@ class TestWarmStartEdges:
         exact = analyze(
             flowset, SBAnalysis(), graph=graph, stop_at_deadline=False
         )
-        cold = analyze(flowset, SBAnalysis(), graph=graph)
-        warm = analyze(flowset, SBAnalysis(), graph=graph, warm_from=exact)
-        assert warm.flows == cold.flows
-        assert warm["lo"].converged == cold["lo"].converged
+        capped = analyze(flowset, SBAnalysis(), graph=graph)
+        assert exact["hi"] == capped["hi"]
+        assert exact["lo"].converged
+        assert exact["lo"].response_time > exact["lo"].deadline
+        assert not capped["lo"].converged
 
-    def test_warm_source_with_different_timing_is_ignored(self):
-        """A warm result computed under different linkl/routl could exceed
-        the current fixed point; analyze must fall back to a cold run."""
+    def test_timing_variant_on_a_shared_graph(self):
+        """A graph built under one linkl/routl serves a variant under
+        another; the analysis reads the variant's timing."""
         flowset = _random_flowset(4, 4, 20, seed=2, tag="timing")
-        slow_platform = NoCPlatform(
+        slow = flowset.on_platform(NoCPlatform(
             flowset.platform.topology, buf=2, linkl=3, routl=1
-        )
-        slow = analyze(flowset.on_platform(slow_platform), SBAnalysis())
-        cold = analyze(flowset, SBAnalysis())
-        warm = analyze(flowset, SBAnalysis(), warm_from=slow)
-        assert warm.flows == cold.flows
+        ))
+        graph = InterferenceGraph(flowset)
+        shared = analyze(slow, SBAnalysis(), graph=graph)
+        assert shared.flows == analyze(slow, SBAnalysis()).flows
+        assert shared.flows != analyze(flowset, SBAnalysis(), graph=graph).flows
 
+
+class TestPickling:
     def test_platform_and_flowset_picklable(self):
         """Multiprocessing fan-out needs picklable platforms/flow sets
         despite the weak-keyed route memo on the routing function."""
