@@ -6,13 +6,12 @@ them as the ``backend`` block of BENCH_engine.json):
 * **kernel_b256** — a B = 256 batch of 96-flow log-uniform-period sets
   under each available backend.  Log-uniform periods make the fixed
   points iterate for real (uniform periods converge in a step or two,
-  leaving nothing for a compiled loop to win); candidate sets whose
-  recurrences overrun into the scalar-diversion valve are filtered out
-  up front, because a diverted scenario runs the identical pure-Python
-  engine under every backend and would only dilute the kernel
-  comparison.  The gate isolates the wave loop: it composes the batch
-  once, then times :func:`repro.core.batch._run_levels` and the
-  compiled ``run_levels`` on fresh copies of the dynamic state
+  leaving nothing for a compiled loop to win).  Every set stays on the
+  array path: a recurrence that runs away ends without a bound inside
+  the batch, under every backend.  The gate isolates the wave loop: it
+  composes the batch once, then times
+  :func:`repro.core.batch._run_levels` and the compiled
+  ``run_levels`` on fresh copies of the dynamic state
   (``loop_cpu_speedup``).  Whole :func:`~repro.core.batch.analyze_batch`
   calls, whose composition and materialisation cost the same on every
   backend, are recorded beside it as ``cpu_speedup``, ungated.  Both
@@ -37,7 +36,7 @@ import pytest
 from repro.core import backend as backend_mod
 from repro.core import batch as batch_mod
 from repro.core.analyses.ibn import IBNAnalysis
-from repro.core.batch import BatchReport, Scenario, analyze_batch
+from repro.core.batch import Scenario, analyze_batch
 from repro.core.interference import InterferenceGraph
 from repro.flows.flowset import FlowSet
 from repro.noc.platform import NoCPlatform
@@ -52,8 +51,6 @@ from _common import mesh8x8_scenario
 SEED = 20180319
 KERNEL_B = 256
 KERNEL_NUM_FLOWS = 96
-#: Candidates generated before the diversion filter trims to KERNEL_B.
-KERNEL_CANDIDATES = 320
 
 
 def _best_cpu(fn, reps: int = 7) -> float:
@@ -71,39 +68,22 @@ def _best_cpu(fn, reps: int = 7) -> float:
 
 
 def _kernel_scenarios() -> list[Scenario]:
-    """KERNEL_B warm scenarios that stay on the array path throughout.
-
-    Diversion (a recurrence overrunning the int64 safety valve) is
-    byte-identical across backends, so the filter pass can run on the
-    default backend; its graphs are rebuilt fresh afterwards and warmed
-    by the callers' first timed repetition.
-    """
+    """The first KERNEL_B candidate sets, each with a fresh graph that
+    the callers' first timed repetition warms."""
     platform = NoCPlatform(Mesh2D(4, 4), buf=2)
     config = SyntheticConfig(
         num_flows=KERNEL_NUM_FLOWS, log_uniform_periods=True
     )
     analysis = IBNAnalysis()
-    flowsets = []
-    for index in range(KERNEL_CANDIDATES):
+    scenarios = []
+    for index in range(KERNEL_B):
         rng = spawn_rng(SEED, "bench-backend", KERNEL_NUM_FLOWS, index)
         flows = synthetic_flows(config, platform.topology.num_nodes, rng)
-        flowsets.append(FlowSet(platform, flows))
-    report = BatchReport(len(flowsets))
-    with backend_mod.use_backend("numpy"):
-        analyze_batch(
-            [Scenario(fs, analysis) for fs in flowsets],
-            early_exit=False,
-            report=report,
+        flowset = FlowSet(platform, flows)
+        scenarios.append(
+            Scenario(flowset, analysis, graph=InterferenceGraph(flowset))
         )
-    diverted = set(report.scalar_fallbacks)
-    kept = [fs for i, fs in enumerate(flowsets) if i not in diverted]
-    assert len(kept) >= KERNEL_B, (
-        f"only {len(kept)} non-diverting candidates; raise KERNEL_CANDIDATES"
-    )
-    return [
-        Scenario(fs, analysis, graph=InterferenceGraph(fs))
-        for fs in kept[:KERNEL_B]
-    ]
+    return scenarios
 
 
 def _best_loop_cpu(run_levels, composed, reps: int = 7) -> float:

@@ -22,9 +22,9 @@ file) is rejected and the next candidate is tried.  All failures raise
 display; the backend layer turns that into the single fallback
 warning.
 
-``-fwrapv`` is mandatory: the kernels rely on two's-complement
-wraparound for int64 arithmetic to stay bit-identical with numpy on
-overflowing inputs.
+``-fwrapv`` is mandatory: int64 overflow in values no answer reads
+(the totals of a row without a bound) must wrap as numpy's does, not
+be undefined behaviour.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 #: Must match REPRO_KERNELS_ABI in _kernels.c.
-KERNELS_ABI = 5
+KERNELS_ABI = 6
 
 SOURCE = Path(__file__).resolve().with_name("_kernels.c")
 

@@ -5,9 +5,9 @@
  * construction and the equivalence suites can pin every backend to the
  * scalar oracle:
  *
- *   repro_run_levels — the batch engine's whole wave loop (window
- *     jitters, downstream terms, ceiling-recurrence fixed points,
- *     totals, taint, the early-exit/diversion frontier); the C twin of
+ *   repro_run_levels — the batch engine's whole wave loop (the cut,
+ *     window jitters, downstream terms, ceiling-recurrence fixed points,
+ *     totals, the early-exit frontier); the C twin of
  *     repro.core.batch._run_levels.  Slots and pair rows arrive
  *     wave-major (a flow's wave is one more than the deepest wave among
  *     its direct interferers), and the loop walks the wave bounds.
@@ -36,7 +36,7 @@
 #include <stdint.h>
 #include <stddef.h>
 
-#define REPRO_KERNELS_ABI 5
+#define REPRO_KERNELS_ABI 6
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -60,24 +60,23 @@ static inline int64_t ceil_div_i64(int64_t a, int64_t b) {
 /* ------------------------------------------------------------------ */
 
 /* Everything after the batch composition and before the outcomes: per
- * wave, per live slot — window jitters, downstream terms (XLWX sums /
- * IBN Equation-8 recounts with the buffer-bound cap), the fixed point,
- * the totals cache, taint propagation, and the per-scenario frontier.
- * A slot of wave w reads only its direct interferers' results (its
- * pair_j and down targets), and they all lie in waves below w, so the
- * sequential sweep is observationally identical to numpy's
- * wave-parallel one.  A slot is skipped when its level is above its
- * scenario's fail_level (lowest level that missed, under early exit)
- * or unsafe_level (lowest level that tripped the int64/iteration
- * valve); slot_iters records each solved slot's iterations, and the
- * caller derives diversion, truncation and iteration totals from these
- * three arrays.
+ * wave, per live slot — the cut, window jitters, downstream terms (XLWX
+ * sums / IBN Equation-8 recounts with the buffer-bound cap), the fixed
+ * point, the totals cache and the per-scenario frontier.  A slot of
+ * wave w reads only its direct interferers' results (its pair_j and
+ * down targets), and they all lie in waves below w, so the sequential
+ * sweep is observationally identical to numpy's wave-parallel one.  A
+ * slot is skipped when its level is above its scenario's fail_level
+ * (lowest level that missed, under early exit); a slot with an
+ * unconverged direct interferer is cut (TAINT, no bound, 0 iterations).
+ * slot_iters records each solved slot's iterations, and the caller
+ * derives truncation and iteration totals from fail_level and it.
  *
  * Modes must match repro.core.batch: SB=0, XLWX=1, IBN=2. */
 
 /* lparams[] layout (int64): */
 enum {
-    L_NUM_WAVES = 0, L_EARLY_EXIT, L_SAFE, L_MAX_ITER, L_COUNT
+    L_NUM_WAVES = 0, L_EARLY_EXIT, L_MAX_ITER, L_COUNT
 };
 
 REPRO_EXPORT void repro_run_levels(
@@ -97,15 +96,14 @@ REPRO_EXPORT void repro_run_levels(
     const int32_t *down_pair,           /* wave-major (τj, τk) rows */
     const int64_t *C, const int64_t *T, const int64_t *J, const int64_t *D,
     const int64_t *BLK, const int64_t *GIVE,
-    int64_t *R, uint8_t *CONV, uint8_t *TAINT, int64_t *BAD,
+    int64_t *R, uint8_t *CONV, uint8_t *TAINT,
     int64_t *totals, int64_t *hitcost,
-    int64_t *fail_level, int64_t *unsafe_level,  /* per scenario */
+    int64_t *fail_level,                         /* per scenario */
     int64_t *slot_iters,                         /* per slot */
     int64_t *scr_wj, int64_t *scr_T, int64_t *scr_cost)  /* max row width */
 {
     const int64_t num_waves = lparams[L_NUM_WAVES];
     const int early_exit = lparams[L_EARLY_EXIT] != 0;
-    const int64_t safe_response = lparams[L_SAFE];
     const int64_t max_iterations = lparams[L_MAX_ITER];
 
     for (int64_t wave = 0; wave < num_waves; wave++) {
@@ -118,8 +116,18 @@ REPRO_EXPORT void repro_run_levels(
             const int64_t cnt = slot_counts[s];
             const int64_t q0 = p;
             p += cnt;
-            if (level > fail_level[scn] || level > unsafe_level[scn])
+            if (level > fail_level[scn])
                 continue;
+
+            /* The cut: an unconverged direct interferer, no bound. */
+            int cut = 0;
+            for (int64_t t = 0; t < cnt && !cut; t++)
+                cut = !CONV[pair_j_slot[q0 + t]];
+            if (cut) {
+                TAINT[slot] = 1;
+                if (early_exit) fail_level[scn] = level;
+                continue;
+            }
 
             /* Phase A: per-pair window jitter + per-hit cost. */
             for (int64_t t = 0; t < cnt; t++) {
@@ -162,47 +170,40 @@ REPRO_EXPORT void repro_run_levels(
             }
 
             /* Phase B: the fixed point from the cold start C[slot]
-             * (batch._solve_rows: unsafe beats convergence beats
-             * give-up), with the non-preemptive blocking folded in. */
+             * (batch._solve_rows), with the non-preemptive blocking
+             * folded in.  No bound (res 0) once the iterate passes its
+             * give-up, overflows int64 (a true iterate past any give-up)
+             * or runs out of iterations. */
             const int64_t blocking = BLK[slot];
             const int64_t base = C[slot] + blocking;
             const int64_t give = GIVE[slot];
             int64_t r = C[slot];
             int64_t iters = 0;
             int64_t res = 0;
-            uint8_t conv = 0, unsafe = 0;
+            uint8_t conv = 0;
             for (;;) {
                 iters++;
-                int64_t r_new = base;
+                int64_t r_new = base, term;
+                int over = 0;
                 for (int64_t t = 0; t < cnt; t++) {
-                    r_new += ceil_div_i64(r + scr_wj[t], scr_T[t])
-                             * (scr_cost[t] + blocking);
+                    over |= __builtin_mul_overflow(
+                        ceil_div_i64(r + scr_wj[t], scr_T[t]),
+                        scr_cost[t] + blocking, &term);
+                    over |= __builtin_add_overflow(r_new, term, &r_new);
                 }
-                const int cv = (r_new == r);
-                int uns = (r_new > safe_response) || (r_new < base);
-                if (iters >= max_iterations && !cv) uns = 1;
-                if (uns) { unsafe = 1; break; }
-                if (cv) { res = r; conv = 1; break; }
-                if (r_new > give) { res = r_new; break; }
+                if (!over && r_new == r) { res = r; conv = 1; break; }
+                if (over || r_new > give || iters >= max_iterations) break;
                 r = r_new;
             }
             slot_iters[slot] = iters;
-            /* The skip test above leaves level below both frontiers. */
-            if (unsafe) { unsafe_level[scn] = level; continue; }
 
-            /* Phase C: publish + totals + taint + early exit. */
+            /* Phase C: publish + totals + early exit. */
             R[slot] = res;
             CONV[slot] = conv;
-            int64_t bad_sum = 0;
             for (int64_t t = 0; t < cnt; t++) {
-                const int64_t q = q0 + t;
-                totals[q] = ceil_div_i64(res + scr_wj[t], scr_T[t])
-                            * scr_cost[t];
-                bad_sum += BAD[pair_j_slot[q]];
+                totals[q0 + t] = ceil_div_i64(res + scr_wj[t], scr_T[t])
+                                 * scr_cost[t];
             }
-            const int tainted = bad_sum > 0;
-            TAINT[slot] = (uint8_t)tainted;
-            BAD[slot] = (!conv) | tainted;
             if (early_exit && !(conv && res <= D[slot]))
                 fail_level[scn] = level;
         }

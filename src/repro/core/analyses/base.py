@@ -53,7 +53,6 @@ class AnalysisContext:
     period: list[int] = field(init=False)
     jitter: list[int] = field(init=False)
     response: dict[int, int] = field(default_factory=dict)
-    converged: dict[int, bool] = field(default_factory=dict)
     hit_term: dict[tuple[int, int], int] = field(default_factory=dict)
     total: dict[tuple[int, int], int] = field(default_factory=dict)
     #: memo for IBN's downstream hit counts ``⌈(R_j + J_k)/T_k⌉`` — the

@@ -2,9 +2,9 @@
 
 A *backend* optionally accelerates the hot loops with compiled code:
 
-* ``run_levels`` — the batch engine's whole wave loop (window jitters,
-  downstream terms, fixed points, totals, taint, the early-exit and
-  diversion frontier) over the wave-major slot arrays
+* ``run_levels`` — the batch engine's whole wave loop (the cut, window
+  jitters, downstream terms, fixed points, totals, the early-exit
+  frontier) over the wave-major slot arrays
   :func:`repro.core.batch.analyze_batch` builds;
 * ``sim_run`` — the wormhole simulator's event-deque drain over the flat
   :class:`~repro.sim.network.NetworkState` arrays.
@@ -79,8 +79,8 @@ _RUN_LEVELS_DTYPES = (
     _I32, _I8, _BOOL, _I64, _BOOL,        # pair_j_slot .. pair_use_bound
     _I64, _I32,                           # down_offsets, down_pair
     _I64, _I64, _I64, _I64, _I64, _I64,   # C T J D BLK GIVE
-    _I64, _BOOL, _BOOL, _I64, _I64, _I64,  # R CONV TAINT BAD totals hitcost
-    _I64, _I64, _I64,                     # fail_level unsafe_level slot_iters
+    _I64, _BOOL, _BOOL, _I64, _I64,       # R CONV TAINT totals hitcost
+    _I64, _I64,                           # fail_level slot_iters
     _I64, _I64, _I64,                     # scr_wj scr_T scr_cost
 )
 
@@ -144,26 +144,24 @@ class CextBackend(Backend):
         wave_pair_bounds, pair_j_slot, pair_mode, pair_fallback,
         pair_bi, pair_use_bound, down_offsets, down_pair,
         C, T, J, D, BLK, GIVE,
-        R, CONV, TAINT, BAD, totals, hitcost,
-        fail_level, unsafe_level, slot_iters,
+        R, CONV, TAINT, totals, hitcost,
+        fail_level, slot_iters,
     ) -> None:
         """Run the batch engine's entire wave loop in C.
 
         The twin of :func:`repro.core.batch._run_levels`, with the same
         keywords: slots and pair rows come wave-major, one contiguous
         slice per dependency wave, and C walks them in that order.  It
-        mutates the dynamic state (``R``/``CONV``/``TAINT``/``BAD``/
-        ``totals``/``hitcost``, the per-scenario ``fail_level`` and
-        ``unsafe_level`` frontiers and the per-slot ``slot_iters``) in
-        place; every row up to a scenario's first miss or valve trip is
-        byte-identical to numpy's, and the batch derives diversion,
-        truncation and iteration totals from the frontiers alone.
+        mutates the dynamic state (``R``/``CONV``/``TAINT``/``totals``/
+        ``hitcost``, the per-scenario ``fail_level`` frontier and the
+        per-slot ``slot_iters``) in place; every row up to a scenario's
+        first miss is byte-identical to numpy's, and the batch derives
+        truncation and iteration totals from the frontier alone.
         Every argument is a C-contiguous array of the dtype
         :data:`_RUN_LEVELS_DTYPES` gives it (ctypes rejects any other):
         int64 throughout, except int32 ``pair_j_slot`` and
         ``down_pair``, int8 ``pair_mode`` and the boolean flags.
         """
-        from repro.core.batch import _SAFE_RESPONSE
         from repro.util.mathx import MAX_ITERATIONS
 
         max_cnt = int(slot_counts.max()) if len(slot_counts) else 0
@@ -171,8 +169,7 @@ class CextBackend(Backend):
         scr_T = _np.empty(max(max_cnt, 1), dtype=_np.int64)
         scr_cost = _np.empty(max(max_cnt, 1), dtype=_np.int64)
         lparams = _np.asarray(
-            [num_waves, int(bool(early_exit)), _SAFE_RESPONSE,
-             MAX_ITERATIONS],
+            [num_waves, int(bool(early_exit)), MAX_ITERATIONS],
             dtype=_np.int64,
         )
         arrays = (
@@ -180,8 +177,8 @@ class CextBackend(Backend):
             slot_counts, wave_pair_bounds, pair_j_slot, pair_mode,
             pair_fallback, pair_bi, pair_use_bound, down_offsets, down_pair,
             C, T, J, D, BLK, GIVE,
-            R, CONV, TAINT, BAD, totals, hitcost,
-            fail_level, unsafe_level, slot_iters,
+            R, CONV, TAINT, totals, hitcost,
+            fail_level, slot_iters,
             scr_wj, scr_T, scr_cost,
         )
         self._lib.repro_run_levels(*arrays)

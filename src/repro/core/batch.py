@@ -22,31 +22,31 @@ batch at once:
   repeated analyses of the same flows share it;
 * per-iteration masking retires converged (scenario, flow) cells: rows
   leave the working arrays the moment their recurrence converges or
-  overruns its give-up cut-off;
+  stops without a bound;
 * scenarios may be **ragged** (different flow counts) and **mixed**
   (different analyses, buffer maps, payloads, periods, priorities);
   a scenario simply stops contributing rows beyond its own depth;
-* early exit and scalar diversion keep per-scenario level frontiers:
-  a flow may be solved before a higher-priority flow of a later wave
-  misses, so rows above a scenario's first miss or valve trip are
-  skipped or, if already solved, discarded.
+* early exit keeps a per-scenario level frontier: a flow may be
+  solved before a higher-priority flow of a later wave misses, so rows
+  above a scenario's first miss are skipped or, if already solved,
+  discarded.
 
 Equivalence contract: :func:`analyze_batch` returns
 :class:`~repro.core.engine.AnalysisResult` objects **byte-identical**
 to scalar :func:`~repro.core.engine.analyze` calls — same iterates from
-the same cold start, same convergence/taint flags, same early-exit
-truncation.  The scalar engine stays the oracle;
-`tests/core/test_batch_equivalence.py` enforces the contract on
-randomized platforms.
+the same cold start, same give-up rule (see :mod:`repro.core.engine`),
+same convergence/taint flags, same early-exit truncation.  The scalar
+engine stays the oracle; `tests/core/test_batch_equivalence.py`
+enforces the contract on randomized platforms.
 
-Scalar fallback: a scenario is handed back to :func:`analyze` when
+Arithmetic is exact: periods, jitters and give-ups are at most
+:data:`~repro.core.engine.RESPONSE_CAP` (2**60), so a converging
+recurrence keeps every value in int64, and a wave whose terms could
+pass int64 (a recurrence far past any give-up) iterates on Python ints.
 
-* its analysis is not exactly SB/XLWX/IBN (subclasses may override the
-  strategy points, which the array program cannot see),
-* a response iterate approaches the int64 safety bound or the
-  iteration budget (Python's unbounded ints take over), or
-* the caller asked for breakdowns (:func:`analyze_batch` never
-  collects them; use the scalar engine for explanation workflows).
+Only analyses that are not exactly SB/XLWX/IBN go to :func:`analyze`
+(subclasses may override the strategy points, which the array program
+cannot see).  No breakdowns are collected: that is the scalar engine's.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ from repro.core.interference import (
 from repro.flows.flowset import FlowSet
 from repro.util.mathx import MAX_ITERATIONS
 
-#: Iterates beyond this divert the scenario to the scalar engine before
-#: int64 products could overflow (Python ints are unbounded there).
-_SAFE_RESPONSE = 1 << 59
 #: Largest flow slot or pair row a batch may number: both are int32.
 _INDEX_MAX = _np.iinfo(_np.int32).max
 
@@ -233,18 +230,24 @@ def _ceil_div(numer, denom):
 def _solve_rows(start, base, give, wj, period, cost, counts):
     """Solve one wave's recurrences for all rows simultaneously.
 
-    Returns ``(response, converged, iterations, unsafe)`` per row, with
-    the exact iterate sequence of the scalar engine from the cold start
-    ``start``: converged rows keep the fixed point, overrun rows keep the
-    first iterate beyond their give-up.  Rows whose iterate approaches
-    the int64 safety bound (or the iteration budget) are flagged
-    ``unsafe`` for scalar diversion.
+    Returns ``(response, converged, iterations)`` per row, with the exact
+    iterate sequence of the scalar engine from the cold start ``start``.
+    A converged row keeps its fixed point; any other row stops without a
+    bound (response 0) once its iterate passes its give-up or runs out
+    of iterations.
     """
+    # An iterate r is at most max(give, start) and a term at most
+    # (r + wj)·cost: where that could pass int64, iterate on Python ints.
+    if wj.size and (float(max(give.max(), start.max())) + float(wj.max())) * (
+        float(cost.max()) * float(counts.max())
+    ) + float(base.max()) >= 2.0 ** 62:
+        start, base, give, wj, period, cost = (
+            a.astype(object) for a in (start, base, give, wj, period, cost)
+        )
     nrows = len(start)
     out_r = _np.zeros(nrows, dtype=_np.int64)
     out_conv = _np.zeros(nrows, dtype=bool)
     out_iters = _np.zeros(nrows, dtype=_np.int64)
-    out_unsafe = _np.zeros(nrows, dtype=bool)
     idx = _np.arange(nrows, dtype=_np.int64)
     r = start
     iteration = 0
@@ -255,18 +258,10 @@ def _solve_rows(start, base, give, wj, period, cost, counts):
         r_new = base + _segment_sums(contrib, counts)
         out_iters[idx] += 1
         conv = r_new == r
-        unsafe = (r_new > _SAFE_RESPONSE) | (r_new < base)
-        if iteration >= MAX_ITERATIONS:
-            unsafe |= ~conv
-        finish_ok = conv & ~unsafe
-        finish_fail = (r_new > give) & ~conv & ~unsafe
-        done = finish_ok | finish_fail | unsafe
-        out_r[idx[finish_ok]] = r[finish_ok]
-        out_conv[idx[finish_ok]] = True
-        out_r[idx[finish_fail]] = r_new[finish_fail]
-        out_unsafe[idx[unsafe]] = True
-        cont = ~done
-        if not cont.any():
+        out_r[idx[conv]] = r[conv]
+        out_conv[idx[conv]] = True
+        cont = ~conv & (r_new <= give)
+        if iteration >= MAX_ITERATIONS or not cont.any():
             break
         r = r_new[cont]
         idx = idx[cont]
@@ -278,7 +273,7 @@ def _solve_rows(start, base, give, wj, period, cost, counts):
             counts = counts[cont]
             base = base[cont]
             give = give[cont]
-    return out_r, out_conv, out_iters, out_unsafe
+    return out_r, out_conv, out_iters
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +304,9 @@ def analyze_batch(
     Results are byte-identical to calling scalar
     :func:`~repro.core.engine.analyze` per scenario with the same
     ``stop_at_deadline``/``early_exit`` arguments, in the input order.
-    Scenarios whose analysis the array program cannot express are
-    transparently answered by the scalar engine (see the module
-    docstring for the triggers); pass ``report`` to observe which path
-    served each scenario.
+    Scenarios whose analysis the array program cannot express
+    (:func:`batchable` is False) are answered by the scalar engine; pass
+    ``report`` to observe which path served each scenario.
     """
     scenarios = list(scenarios)
     if report is None:
@@ -329,30 +323,24 @@ def analyze_batch(
             )
     results: list[AnalysisResult | None] = [None] * len(scenarios)
     batched = [i for i, s in enumerate(scenarios) if batchable(s.analysis)]
-    needs_scalar: set[int] = set(range(len(scenarios))) - set(batched)
     if batched:
         solved = _run_batch(
             [scenarios[i] for i in batched],
             stop_at_deadline=stop_at_deadline,
             early_exit=early_exit,
         )
-        for position, index in enumerate(batched):
-            outcome = solved[position]
-            if outcome is None:
-                needs_scalar.add(index)
-            else:
-                results[index], report.iterations[index] = outcome
-    for index in sorted(needs_scalar):
-        scenario = scenarios[index]
-        results[index] = analyze(
-            scenario.flowset,
-            scenario.analysis,
-            graph=scenario.graph,
-            stop_at_deadline=stop_at_deadline,
-            early_exit=early_exit,
-        )
-        report.scalar_fallbacks.append(index)
-    report.scalar_fallbacks.sort()
+        for index, (result, iterations) in zip(batched, solved):
+            results[index], report.iterations[index] = result, iterations
+    for index, scenario in enumerate(scenarios):
+        if results[index] is None:
+            results[index] = analyze(
+                scenario.flowset,
+                scenario.analysis,
+                graph=scenario.graph,
+                stop_at_deadline=stop_at_deadline,
+                early_exit=early_exit,
+            )
+            report.scalar_fallbacks.append(index)
     return results  # type: ignore[return-value]
 
 
@@ -415,8 +403,8 @@ class _Composed:
     def fresh_state(self) -> dict:
         """``run_levels``' dynamic keyword arguments, as a run starts them.
 
-        ``fail_level``/``unsafe_level`` start at each scenario's size:
-        past its last level, "nothing missed, nothing tripped".
+        ``fail_level`` starts at each scenario's size: past its last
+        level, "nothing missed".
         """
         total_slots = len(self.arrays["C"])
         total_pairs = len(self.arrays["pair_j_slot"])
@@ -424,11 +412,9 @@ class _Composed:
             "R": _np.zeros(total_slots, dtype=_np.int64),
             "CONV": _np.zeros(total_slots, dtype=bool),
             "TAINT": _np.zeros(total_slots, dtype=bool),
-            "BAD": _np.zeros(total_slots, dtype=_np.int64),  # ~conv | taint
             "totals": _np.zeros(total_pairs, dtype=_np.int64),
             "hitcost": _np.zeros(total_pairs, dtype=_np.int64),
             "fail_level": self.sizes.copy(),
-            "unsafe_level": self.sizes.copy(),
             "slot_iters": _np.zeros(total_slots, dtype=_np.int64),
         }
 
@@ -548,41 +534,48 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
                 pair_j_slot, pair_mode, pair_fallback, pair_bi,
                 pair_use_bound, down_offsets, down_pair,
                 C, T, J, D, BLK, GIVE,
-                R, CONV, TAINT, BAD, totals, hitcost,
-                fail_level, unsafe_level, slot_iters):
+                R, CONV, TAINT, totals, hitcost,
+                fail_level, slot_iters):
     """The numpy wave loop: one vectorised step per dependency wave.
 
     The twin of a compiled backend's ``run_levels`` (same keywords, same
     in-place updates of the dynamic state).  Each step solves every live
-    slot of one wave, of all scenarios and levels at once.  A slot is
-    live while its level is at most its scenario's ``fail_level`` (the
-    lowest level that missed, under early exit) and ``unsafe_level``
-    (the lowest level whose iterate tripped the int64/iteration valve).
-    A slot solved before a lower level's failure is found is discarded
-    afterwards: everything that reads it lies above that level too.
+    slot of one wave, of all scenarios and levels at once.  A slot with
+    an unconverged direct interferer is cut: ``TAINT``, no bound and no
+    iterations.  Any other slot is live while its level is at most its
+    scenario's ``fail_level`` (the lowest level that missed, under early
+    exit).  A slot solved before a lower level's failure is found is
+    discarded afterwards: everything that reads it lies above that
+    level too.
     """
-    # Batch-wide fast-path flags: skip whole term families no pair
-    # needs, and skip the liveness selection until a scenario retires
-    # (early exit or scalar diversion).
+    # Batch-wide fast-path flags: skip term families no pair needs.
     modes = _np.bincount(pair_mode, minlength=3) > 0
     sb_present = bool(modes[_MODE_SB])
     xlwx_present = bool(modes[_MODE_XLWX])
     need_eq8 = bool(modes[_MODE_IBN])
     need_sum = xlwx_present or need_eq8
     has_blocking = bool(BLK.any())
-    frontier = None  # per scenario: min(fail_level, unsafe_level)
 
     for wave in range(num_waves):
         s0, s1 = int(wave_slot_bounds[wave]), int(wave_slot_bounds[wave + 1])
         slots_all = slot_perm[s0:s1]
         counts_all = slot_counts[s0:s1]
         p0, p1 = int(wave_pair_bounds[wave]), int(wave_pair_bounds[wave + 1])
-        live_all = True
-        if frontier is not None:
-            live = slot_level[slots_all] <= frontier[slot_scn[slots_all]]
-            live_all = bool(live.all())
-            if not live_all and not live.any():
-                continue
+        # The stored int32 indices widen once per wave: numpy would
+        # otherwise convert them again inside every gather below.
+        pj = pair_j_slot[p0:p1].astype(_np.intp)
+        cut = _segment_sums(~CONV[pj], counts_all) > 0
+        if cut.any():
+            cut_slots = slots_all[cut]
+            TAINT[cut_slots] = True
+            if early_exit:
+                _np.minimum.at(
+                    fail_level, slot_scn[cut_slots], slot_level[cut_slots]
+                )
+        live = ~cut & (slot_level[slots_all] <= fail_level[slot_scn[slots_all]])
+        live_all = bool(live.all())
+        if not live_all and not live.any():
+            continue
         if live_all:
             # The common case is one contiguous slice per wave: no
             # index arrays, and the wave's downstream entries are one
@@ -601,13 +594,11 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
             prefix = _np.zeros(len(counts_all) + 1, dtype=_np.int64)
             _np.cumsum(counts_all, out=prefix[1:])
             sel, _ = _gather_segments(p0 + prefix[:-1][live], counts)
+            pj = pj[sel - p0]
             dstart = down_offsets[sel]
             dlen = down_offsets[sel + 1] - dstart
             gidx, _ = _gather_segments(dstart, dlen)
             dp = down_pair[gidx].astype(_np.intp)
-        # The stored int32 indices widen once per wave: numpy would
-        # otherwise convert them again inside every gather below.
-        pj = pair_j_slot[sel].astype(_np.intp)
         r_j = R[pj]
         wj = J[pj] + r_j - C[pj]
 
@@ -657,28 +648,10 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
         else:
             base = cold
             iter_cost = cost
-        r_fin, conv_fin, iters, unsafe = _solve_rows(
+        r_fin, conv_fin, iters = _solve_rows(
             cold, base, GIVE[slots], wj, T[pj], iter_cost, counts
         )
         slot_iters[slots] = iters
-        if unsafe.any():
-            tripped = slots[unsafe]
-            _np.minimum.at(
-                unsafe_level, slot_scn[tripped], slot_level[tripped]
-            )
-            frontier = _np.minimum(fail_level, unsafe_level)
-            keep = ~unsafe
-            if not keep.any():
-                continue
-            if isinstance(sel, slice):
-                sel = _np.arange(p0, p1, dtype=_np.int64)
-            slots = slots[keep]
-            pair_keep = _np.repeat(keep, counts)
-            sel, pj, wj = sel[pair_keep], pj[pair_keep], wj[pair_keep]
-            cost = cost[pair_keep]
-            counts = counts[keep]
-            r_fin, conv_fin = r_fin[keep], conv_fin[keep]
-
         R[slots] = r_fin
         CONV[slots] = conv_fin
         # Totals (the I_kj cache) use the final iterate and the per-hit
@@ -686,9 +659,6 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
         totals[sel] = (
             _ceil_div(_np.repeat(r_fin, counts) + wj, T[pj]) * cost
         )
-        tainted = _segment_sums(BAD[pj], counts) > 0
-        TAINT[slots] = tainted
-        BAD[slots] = (~conv_fin | tainted).astype(_np.int64)
         if early_exit:
             failed = ~(conv_fin & (r_fin <= D[slots]))
             if failed.any():
@@ -696,11 +666,10 @@ def _run_levels(*, num_waves, early_exit, wave_slot_bounds, slot_perm,
                 _np.minimum.at(
                     fail_level, slot_scn[missed], slot_level[missed]
                 )
-                frontier = _np.minimum(fail_level, unsafe_level)
 
 
 def _run_batch(scenarios, *, stop_at_deadline, early_exit):
-    """The array program proper; ``None`` entries mean "divert"."""
+    """The array program proper: ``(result, iterations)`` per scenario."""
     plans = [_build_plan(s) for s in scenarios]
     batch = _compose(plans, stop_at_deadline=stop_at_deadline)
     state = batch.fresh_state()
@@ -713,13 +682,11 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     )
 
     # ---- outcomes, the same for every backend --------------------------
-    # A scenario whose valve tripped below its first miss goes to the
-    # scalar engine; one that missed first stops at that level, as the
-    # scalar early exit does, and counts only the levels up to it.
+    # A scenario that missed stops at that level, as the scalar early
+    # exit does, and counts only the levels up to it.
     sizes = batch.sizes
-    fail_level, unsafe_level = state["fail_level"], state["unsafe_level"]
-    diverted = unsafe_level < fail_level
-    stopped = (fail_level < sizes) & ~diverted
+    fail_level = state["fail_level"]
+    stopped = fail_level < sizes
     last_level = _np.where(stopped, fail_level, sizes - 1)
     counted = batch.arrays["slot_level"] <= _np.repeat(last_level, sizes)
     iterations = _segment_sums(
@@ -739,17 +706,15 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     del batch, state, counted
     outcomes: list = []
     for b, plan in enumerate(plans):
-        if diverted[b]:
-            outcomes.append(None)
-            continue
         flowset = plan.scenario.flowset
         analysis = plan.scenario.analysis
         flows: dict[str, FlowResult] = {}
         upto = int(last_level[b])
         for slot, flow in enumerate(flowset.flows[:upto + 1], slot_base[b]):
             flows[flow.name] = _flow_result_fast(
-                flow.name, flow.priority, C_l[slot], D_l[slot], R_l[slot],
-                CONV_l[slot], TAINT_l[slot],
+                flow.name, flow.priority, C_l[slot], D_l[slot],
+                R_l[slot] if CONV_l[slot] else None, CONV_l[slot],
+                TAINT_l[slot],
             )
         outcomes.append(
             (

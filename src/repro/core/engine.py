@@ -12,6 +12,14 @@ cost ``C_k + I^down_kj`` and total contribution ``I_kj`` of *their*
 interferers) refers strictly up the priority order, so a single pass
 suffices and no global fixed point across flows is required.
 
+The give-up rule, kept by the batch engine and its C kernel too: a
+recurrence that passes its deadline (:data:`RESPONSE_CAP` without
+``stop_at_deadline``) or exhausts ``MAX_ITERATIONS`` has no bound
+(``response_time=None``), and a flow with an unconverged direct
+interferer is *cut* (``tainted``, no bound, not iterated): Equation 5's
+window jitter ``R_j − C_j`` needs ``R_j``.  No made-up iterate is ever
+reported or used as another flow's jitter.
+
 Pointwise order
 ---------------
 Every recurrence starts cold at ``C_i``.  All recurrences in this family
@@ -35,14 +43,10 @@ from repro.core.analyses.ibn import IBNAnalysis
 from repro.core.analyses.sb import SBAnalysis
 from repro.core.analyses.xlwx import XLWXAnalysis
 from repro.core.interference import InterferenceGraph
+from repro.flows.flow import RESPONSE_CAP
 from repro.flows.flowset import FlowSet
 from repro.noc.platform import NoCPlatform
 from repro.util.mathx import FixedPointDiverged, ceil_div, fixed_point
-
-#: Hard ceiling for response times when ``stop_at_deadline`` is disabled.
-#: Any response time beyond this is reported as diverged; it exists only to
-#: keep pathological recurrences (overloaded links) from looping forever.
-RESPONSE_CAP = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -65,18 +69,18 @@ class InterferenceTerm:
 class FlowResult:
     """Outcome of one analysis for one flow.
 
-    ``response_time`` is the converged bound when ``converged`` is True;
-    otherwise it is the first iterate beyond the give-up threshold (the
-    deadline, by default) and only its *unschedulable* verdict is
-    meaningful.  ``tainted`` marks flows whose bound depends (transitively)
-    on an unconverged higher-priority flow.
+    ``response_time`` is the converged bound when ``converged`` is True,
+    and ``None`` otherwise: the recurrence passed its give-up (the
+    deadline, by default) or ran out of iterations, or the flow was cut.
+    ``tainted`` marks a *cut* flow: one with an unconverged direct
+    interferer, which is not iterated at all (see the module docstring).
     """
 
     name: str
     priority: int
     c: int
     deadline: int
-    response_time: int
+    response_time: int | None
     converged: bool
     tainted: bool
     breakdown: tuple[InterferenceTerm, ...] = field(default=())
@@ -87,9 +91,11 @@ class FlowResult:
         return self.converged and self.response_time <= self.deadline
 
     @property
-    def slack(self) -> int:
-        """Deadline minus bound (negative or meaningless when missed)."""
-        return self.deadline - self.response_time
+    def slack(self) -> int | None:
+        """Deadline minus bound (negative when missed), ``None`` without
+        a bound."""
+        bound = self.response_time
+        return None if bound is None else self.deadline - bound
 
 
 #: The slot descriptors' setters of :class:`FlowResult`, in field order.
@@ -100,7 +106,7 @@ _FLOW_RESULT_SETTERS = tuple(
 
 def _flow_result_fast(
     name: str, priority: int, c: int, deadline: int,
-    response_time: int, converged: bool, tainted: bool,
+    response_time: int | None, converged: bool, tainted: bool,
 ) -> FlowResult:
     """Breakdown-free :class:`FlowResult` without the frozen-dataclass
     ``__init__`` overhead (``object.__setattr__`` per field): it fills
@@ -148,7 +154,7 @@ class AnalysisResult:
         """How many analysed flows meet their deadline."""
         return sum(1 for r in self.flows.values() if r.schedulable)
 
-    def response_time(self, name: str) -> int:
+    def response_time(self, name: str) -> int | None:
         """Worst-case bound of one flow (see :class:`FlowResult`)."""
         return self.flows[name].response_time
 
@@ -174,9 +180,10 @@ def analyze(
         running several analyses over the same flows (see :func:`compare`)
         to share the O(n²) contention geometry.
     stop_at_deadline:
-        Stop iterating a flow's recurrence as soon as it exceeds its
-        deadline (the verdict can no longer change).  Disable to obtain the
-        exact fixed point beyond the deadline, e.g. for latency tables.
+        Give a flow's recurrence up as soon as it exceeds its deadline
+        (the verdict can no longer change).  Disable to obtain the exact
+        fixed point beyond the deadline, e.g. for latency tables; the
+        give-up is then :data:`RESPONSE_CAP`.
     early_exit:
         Abandon the whole run at the first deadline miss; the result then
         has ``complete=False`` and covers only the flows processed so far.
@@ -196,20 +203,28 @@ def analyze(
     # recognising that up front lets the term loop read the arrays
     # directly instead of making two method calls per interferer.
     default_jitter = type(analysis).indirect_jitter is Analysis.indirect_jitter
-    # Taint state as an index bitmask: flow i is tainted when S^D_i
-    # intersects the mask of unconverged-or-tainted flows — one `&`
-    # instead of a scan over the direct set.
+    # Unconverged flows as an index bitmask: flow i is cut when S^D_i
+    # intersects it — one `&` instead of a scan over the direct set.
     direct_masks = graph.direct_masks
-    tainted_mask = 0
+    unconverged_mask = 0
     for i, flow in enumerate(ctx.flows):
         c_i = ctx.c[i]
         if flow.is_local:
             ctx.response[i] = 0
-            ctx.converged[i] = True
             results[flow.name] = FlowResult(
                 flow.name, flow.priority, c=0, deadline=flow.deadline,
                 response_time=0, converged=True, tainted=False,
             )
+            continue
+        if unconverged_mask and direct_masks[i] & unconverged_mask:  # cut
+            unconverged_mask |= 1 << i
+            results[flow.name] = FlowResult(
+                flow.name, flow.priority, c=c_i, deadline=flow.deadline,
+                response_time=None, converged=False, tainted=True,
+            )
+            if early_exit:
+                complete = False
+                break
             continue
 
         # Non-preemptive blocking (extension beyond the paper, which uses
@@ -267,21 +282,21 @@ def analyze(
             response, converged = fixed_point(
                 recurrence, c_i, give_up_above=give_up
             )
-        except FixedPointDiverged as diverged:
-            response, converged = diverged.last_value, False
+        except FixedPointDiverged:
+            converged = False
 
-        ctx.response[i] = response
-        ctx.converged[i] = converged
-        total = ctx.total
-        for j, period, window_jitter, hit_cost in terms:
-            total[(i, j)] = (
-                -(-(response + window_jitter) // period) * hit_cost
-            )
-        tainted = bool(tainted_mask and direct_masks[i] & tainted_mask)
-        if not converged or tainted:
-            tainted_mask |= 1 << i
+        if converged:
+            ctx.response[i] = response
+            total = ctx.total
+            for j, period, window_jitter, hit_cost in terms:
+                total[(i, j)] = (
+                    -(-(response + window_jitter) // period) * hit_cost
+                )
+        else:
+            response = None
+            unconverged_mask |= 1 << i
         breakdown: tuple[InterferenceTerm, ...] = ()
-        if collect_breakdown:
+        if collect_breakdown and converged:
             breakdown = tuple(
                 InterferenceTerm(
                     interferer=ctx.flows[j].name,
@@ -299,7 +314,7 @@ def analyze(
             deadline=flow.deadline,
             response_time=response,
             converged=converged,
-            tainted=tainted,
+            tainted=False,
             breakdown=breakdown,
         )
         if early_exit and not results[flow.name].schedulable:

@@ -11,6 +11,11 @@ from typing import Mapping, Sequence
 from repro.core.engine import AnalysisResult
 
 
+def bound_cell(value: int | None) -> str:
+    """A bound or slack as printed: ``-`` where the flow has no bound."""
+    return "-" if value is None else str(value)
+
+
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in header]
     for row in rows:
@@ -48,8 +53,8 @@ def result_table(result: AnalysisResult) -> str:
                 str(flow_result.c),
                 str(flow.period),
                 str(flow_result.deadline),
-                str(flow_result.response_time),
-                str(flow_result.slack),
+                bound_cell(flow_result.response_time),
+                bound_cell(flow_result.slack),
                 verdict,
             ]
         )
@@ -77,6 +82,11 @@ def explain_flow(result: AnalysisResult, name: str) -> str:
             "explain_flow needs a result produced with collect_breakdown=True"
         )
     flow_result = result.flows[name]
+    if flow_result.response_time is None:
+        cause = ("a direct interferer has none" if flow_result.tainted
+                 else "no fixed point within its give-up")
+        return (f"{name} under {result.analysis_name}: no bound, {cause} "
+                f"(C = {flow_result.c}, D = {flow_result.deadline})")
     graph = ctx.graph
     i = graph.index(name)
     flow = result.flowset.flow(name)
@@ -157,6 +167,6 @@ def comparison_table(results: Mapping[str, AnalysisResult]) -> str:
                 row.append("-")
             else:
                 marker = "" if flow_result.schedulable else "!"
-                row.append(f"{flow_result.response_time}{marker}")
+                row.append(bound_cell(flow_result.response_time) + marker)
         rows.append(row)
     return _render_table(header, rows)

@@ -217,18 +217,23 @@ def allocate_buffers(
 
 
 def slack_table(flowset: FlowSet, *, analysis: Analysis | None = None) -> str:
-    """Per-flow slack report (deadline − bound), tightest flow first."""
+    """Per-flow slack report (deadline − bound): unbounded, then tightest."""
     from repro.core.engine import analyze
+    from repro.core.report import bound_cell
 
     if analysis is None:
         analysis = IBNAnalysis()
     result = analyze(flowset, analysis, stop_at_deadline=False)
-    rows = sorted(result.flows.values(), key=lambda r: r.slack)
+    rows = sorted(
+        result.flows.values(),
+        key=lambda r: (r.slack is not None, r.slack or 0),
+    )
     lines = [f"slack under {result.analysis_name} (tightest first):"]
     for row in rows:
         verdict = "ok" if row.schedulable else "MISS"
         lines.append(
-            f"  {row.name:<12} R={row.response_time:>8}  D={row.deadline:>8}"
-            f"  slack={row.slack:>8}  {verdict}"
+            f"  {row.name:<12} R={bound_cell(row.response_time):>8}"
+            f"  D={row.deadline:>8}  slack={bound_cell(row.slack):>8}"
+            f"  {verdict}"
         )
     return "\n".join(lines)

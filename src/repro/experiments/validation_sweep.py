@@ -185,10 +185,7 @@ def _flow_bounds(flowset: FlowSet, graph: InterferenceGraph, analysis):
 
 def _bounds_of(result) -> dict[str, int | None]:
     """Per-flow exact bounds out of one result (None when unconverged)."""
-    return {
-        name: (fr.response_time if fr.converged else None)
-        for name, fr in result.flows.items()
-    }
+    return {name: fr.response_time for name, fr in result.flows.items()}
 
 
 def validation_spec(

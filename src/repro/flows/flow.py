@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: Largest period or jitter a flow may carry, in cycles, and the give-up
+#: without the deadline cut-off (``repro.core.engine.RESPONSE_CAP``).
+RESPONSE_CAP = 1 << 60
+
 
 @dataclass(frozen=True, slots=True)
 class Flow:
@@ -52,6 +56,11 @@ class Flow:
             raise ValueError(f"{self.name}: packets have >= 1 flit, got {self.length}")
         if self.jitter < 0:
             raise ValueError(f"{self.name}: jitter must be >= 0, got {self.jitter}")
+        if max(self.period, self.jitter) > RESPONSE_CAP:
+            raise ValueError(
+                f"{self.name}: period and jitter must be <= 2**60 cycles, "
+                f"got T={self.period}, J={self.jitter}"
+            )
         if self.deadline is None:
             object.__setattr__(self, "deadline", self.period)
         if self.deadline < 1:

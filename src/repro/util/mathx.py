@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 #: Per-recurrence iteration budget of :func:`fixed_point`; the batch
-#: engine and its C kernel divert to the scalar engine at the same count.
+#: engine and its C kernel give a recurrence up at the same count.
 MAX_ITERATIONS = 100_000
 
 

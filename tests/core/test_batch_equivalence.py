@@ -93,16 +93,20 @@ class TestScenarioEquivalence:
     def test_single_scenario_matches_scalar(self, n, seed, analysis, stop, ee):
         flowset = _random_flowset(n, seed)
         graph = InterferenceGraph(flowset)
+        report = BatchReport(1)
         batch = analyze_batch(
             [Scenario(flowset, analysis, graph=graph)],
             stop_at_deadline=stop,
             early_exit=ee,
+            report=report,
         )[0]
         cold = analyze(
             flowset, analysis, graph=graph,
             stop_at_deadline=stop, early_exit=ee,
         )
         _assert_results_equal(batch, cold)
+        # a batchable scenario never reaches the scalar engine
+        assert report.scalar_fallbacks == []
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(5, 40), st.integers(0, 10**6))
@@ -255,11 +259,12 @@ class TestFallbacks:
         "analysis", [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()],
         ids=lambda analysis: type(analysis).__name__,
     )
-    def test_diversion_mid_batch_leaves_the_rest_on_the_array_path(
+    def test_runaway_mid_batch_stays_on_the_array_path(
         self, analysis, didactic2, didactic10
     ):
-        """A middle scenario's recurrence runs away and goes to the
-        scalar engine; the scenarios beside it finish in the batch."""
+        """A middle scenario's recurrence runs away: it ends without a
+        bound in the batch, as scalar, and so do the scenarios beside
+        it."""
         overloaded = FlowSet(
             NoCPlatform(chain(3), buf=2),
             [
@@ -279,7 +284,7 @@ class TestFallbacks:
             _assert_results_equal(
                 result, analyze(flowset, analysis, stop_at_deadline=False)
             )
-        assert report.scalar_fallbacks == [1]
+        assert report.scalar_fallbacks == []
 
     def test_report_size_mismatch_rejected(self):
         flowset = _random_flowset(5, 4)
@@ -359,7 +364,7 @@ def _frontier_flowset(spec):
 #: A → X → B form waves 0, 1, 2 on nodes 0–3 and B misses its deadline.
 #: On nodes 5–8, C1 and C2 share no link, so both meet their deadlines,
 #: while D, crossing both, takes 1.2 units of load per unit of time: its
-#: recurrence runs away and trips the int64 valve in wave 1.
+#: recurrence runs away past its give-up in wave 1.
 _CHAIN_MISS = [
     ("A", dict(period=1000, length=10, src=0, dst=1)),
     ("X", dict(period=1000, length=10, src=0, dst=2)),
@@ -380,14 +385,16 @@ _CHAIN_MISS_EARLY = [
 
 #: Flows kept and iterations spent per scenario by the pinned batch in
 #: ``test_report_counts_only_the_levels_kept``, as recorded when the
-#: batch engine solved one priority level per step.
+#: batch engine solved one priority level per step; the overload
+#: scenario's 175 since it runs away inside the batch, not the scalar
+#: engine.
 _PINNED_KEPT = [200, 197, 180, 240, 193, 150, 4]
-_PINNED_ITERATIONS = [412, 572, 402, 572, 582, 329, 0]
+_PINNED_ITERATIONS = [412, 572, 402, 572, 582, 329, 175]
 
 
 class TestWaveFrontier:
     """Waves solve a flow before a higher-priority flow of a later wave,
-    so early exit and diversion follow per-scenario level frontiers."""
+    so early exit follows a per-scenario level frontier."""
 
     @pytest.mark.parametrize(
         "analysis", [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()],
@@ -416,10 +423,10 @@ class TestWaveFrontier:
         "analysis", [SBAnalysis(), XLWXAnalysis(), IBNAnalysis()],
         ids=lambda analysis: type(analysis).__name__,
     )
-    def test_valve_trip_found_after_a_lower_priority_miss(self, analysis):
-        """X (level 5, wave 1) misses before D (level 3, wave 2) trips
-        the valve: the trip lies below the miss, so the scenario goes to
-        the scalar engine."""
+    def test_runaway_found_after_a_lower_priority_miss(self, analysis):
+        """X (level 5, wave 1) misses before D (level 3, wave 2) runs
+        away: D's give-up lies below the miss, so the scenario stops at
+        D, as scalar."""
         flowset = _frontier_flowset(_OVERLOAD_LATE + _CHAIN_MISS_EARLY)
         graph = InterferenceGraph(flowset)
         assert graph.waves.tolist() == [0, 1, 0, 2, 0, 1]
@@ -434,7 +441,7 @@ class TestWaveFrontier:
                     early_exit=True),
         )
         assert list(result.flows) == ["C0", "C1", "C2", "D"]
-        assert report.scalar_fallbacks == [0]
+        assert report.scalar_fallbacks == []
 
     def test_report_counts_only_the_levels_kept(self):
         """Iterations of a ragged early-exit batch, recorded when levels
@@ -460,7 +467,7 @@ class TestWaveFrontier:
         )
         assert [len(result.flows) for result in results] == _PINNED_KEPT
         assert report.iterations == _PINNED_ITERATIONS
-        assert report.scalar_fallbacks == [6]
+        assert report.scalar_fallbacks == []
 
     def test_one_step_per_wave(self, monkeypatch):
         """A B = 1 early-exit call solves at most one row block per

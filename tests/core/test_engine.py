@@ -75,9 +75,11 @@ class TestVerdicts:
     def test_stop_at_deadline_stops_early(self, overloaded):
         capped = analyze(overloaded, SBAnalysis())
         exact = analyze(overloaded, SBAnalysis(), stop_at_deadline=False)
-        assert capped.response_time("lo") > 400  # just past the deadline
-        # the exact run either converges beyond D or diverges further
-        assert exact.response_time("lo") >= capped.response_time("lo")
+        # the capped run gives up just past the deadline, with no bound
+        assert capped.response_time("lo") is None
+        # the exact run converges beyond D
+        assert exact["lo"].converged
+        assert exact.response_time("lo") > 400
 
     def test_early_exit_marks_incomplete(self, overloaded):
         result = analyze(overloaded, SBAnalysis(), early_exit=True)

@@ -43,6 +43,25 @@ class TestValidation:
             make(period=0)
 
 
+class TestTimingLimit:
+    """Periods and jitters are bounded by 2**60, the response cap."""
+
+    @pytest.mark.parametrize("field", ["period", "jitter"])
+    def test_limit_itself_is_accepted(self, field):
+        assert getattr(make(**{field: 2**60}), field) == 2**60
+
+    @pytest.mark.parametrize("field", ["period", "jitter"])
+    def test_beyond_the_limit_raises_naming_it(self, field):
+        with pytest.raises(ValueError, match=r"<= 2\*\*60"):
+            make(**{field: 2**60 + 1})
+
+    def test_limit_is_the_response_cap(self):
+        from repro.core.engine import RESPONSE_CAP
+        from repro.flows.flow import RESPONSE_CAP as FLOW_LIMIT
+
+        assert RESPONSE_CAP == FLOW_LIMIT == 2**60
+
+
 class TestHelpers:
     def test_with_priority_copies(self):
         flow = make()

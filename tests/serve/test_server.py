@@ -12,6 +12,7 @@ persistent run directory, and the HTTP error paths.
 import asyncio
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -27,6 +28,7 @@ from repro.serve import (
 )
 from repro.serve.service import CampaignStatus, campaign_id
 from repro.workloads.didactic import didactic_flowset
+from repro.workloads.synthetic import SyntheticConfig, synthetic_flowset
 
 
 @pytest.fixture
@@ -139,6 +141,46 @@ class TestAnalyze:
         # were answered from the in-flight future or the cache.
         assert stats["executed"] == 1
         assert stats["coalesced"] + stats["cache"]["hits"] == 3
+
+
+class TestRunawayRecurrences:
+    """Sets whose recurrences run away get verdicts, not huge numbers:
+    each used to take seconds to minutes and end in an HTTP 500."""
+
+    @pytest.mark.parametrize("set_index", [266, 773])
+    @pytest.mark.parametrize("analysis", ["ibn", "xlwx", "all"])
+    def test_answered_within_a_second(self, client, set_index, analysis):
+        from repro.noc.platform import NoCPlatform
+        from repro.noc.topology import Mesh2D
+
+        flowset = synthetic_flowset(
+            NoCPlatform(Mesh2D(4, 4), buf=4), SyntheticConfig(num_flows=150),
+            seed=3, set_index=set_index,
+        )
+        start = time.perf_counter()
+        body = client.analyze(flowset, analysis=analysis)
+        assert time.perf_counter() - start < 1.0
+        assert body["schedulable"] is False
+        for result in body["results"].values():
+            unbounded = [
+                flow for flow in result["flows"].values()
+                if not flow["converged"]
+            ]
+            assert unbounded
+            assert all(
+                flow["response_time"] is None and flow["slack"] is None
+                for flow in unbounded
+            )
+
+    def test_timing_input_beyond_the_limit_is_400(self, client, flowset):
+        from repro.io import flowset_to_dict
+
+        doc = flowset_to_dict(flowset)
+        doc["flows"][0]["jitter"] = 2**60 + 1
+        with pytest.raises(ServeError) as err:
+            client.request("POST", "/analyze", {"flowset": doc})
+        assert err.value.status == 400
+        assert "2**60" in err.value.message
 
 
 class TestSizing:
