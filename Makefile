@@ -4,9 +4,9 @@ PYTHON ?= python
 export PYTHONPATH := src
 export REPRO_SCALE ?= ci
 
-.PHONY: test test-slow bench-smoke bench-record bench-figures campaign-smoke \
-	docs-check bench-regress chaos-smoke cluster-smoke backend-smoke \
-	perfbench-selftest smoke
+.PHONY: test test-slow sim-equivalence bench-smoke bench-record bench-figures \
+	campaign-smoke docs-check bench-regress chaos-smoke cluster-smoke \
+	backend-smoke perfbench-selftest smoke
 
 ## Tier-1 test suite (the gate every PR must keep green).  Tests marked
 ## `slow` (paper-scale simulation sweeps) are deselected here.
@@ -16,6 +16,13 @@ test:
 ## The heavy, paper-scale simulation tests only.
 test-slow:
 	$(PYTHON) -m pytest -q -m slow
+
+## The broad simulator-equivalence sweep (40 random seeds across buf
+## 1-19, linkl 1-3, routl 0-3 and credit_delay 0-3, on every available
+## backend) that tier-1 deselects: the fast lane's lone-packet jump and
+## the compiled event drain are checked against the frozen oracle here.
+sim-equivalence:
+	$(PYTHON) -m pytest -q -m slow tests/sim/test_simulator_equivalence.py
 
 ## End-to-end campaign-engine smoke: expand (dry run), run a tiny spec
 ## into a fresh result store with every exporter, then re-run to prove
@@ -72,12 +79,12 @@ backend-smoke:
 perfbench-selftest:
 	$(PYTHON) -m pytest perfbench/tests -q
 
-## The full smoke path: tier-1 tests, executable documentation, the
-## fault-injection scenarios (cluster kills included), the cluster
-## smoke, the backend seam smoke, the benchmark's self-test, and the
-## perf-trajectory regression gate.
-smoke: test docs-check chaos-smoke cluster-smoke backend-smoke \
-	perfbench-selftest bench-regress
+## The full smoke path: tier-1 tests, the broad simulator-equivalence
+## sweep, executable documentation, the fault-injection scenarios
+## (cluster kills included), the cluster smoke, the backend seam smoke,
+## the benchmark's self-test, and the perf-trajectory regression gate.
+smoke: test sim-equivalence docs-check chaos-smoke cluster-smoke \
+	backend-smoke perfbench-selftest bench-regress
 
 ## Fast perf gate: ci-scale hot-path microbenchmarks (analysis kernel +
 ## simulator + serve throughput) plus the campaign-engine smoke and the

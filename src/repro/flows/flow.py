@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-#: Largest period or jitter a flow may carry, in cycles, and the give-up
-#: without the deadline cut-off (``repro.core.engine.RESPONSE_CAP``).
+#: Largest period or jitter a flow may carry, in cycles, the largest
+#: zero-load latency ``C_i`` a flow set admits, and the give-up without
+#: the deadline cut-off (``repro.core.engine.RESPONSE_CAP``).
 RESPONSE_CAP = 1 << 60
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 from typing import Iterable, Iterator
 
-from repro.flows.flow import Flow
+from repro.flows.flow import RESPONSE_CAP, Flow
 from repro.noc.platform import NoCPlatform
 
 
@@ -62,9 +62,14 @@ class FlowSet:
             self._by_name[flow.name] = flow
             route = self.platform.route(flow.src, flow.dst)
             self._routes[flow.name] = route
-            self._c[flow.name] = self.platform.zero_load_latency(
+            c = self._c[flow.name] = self.platform.zero_load_latency(
                 len(route), flow.length
             )
+            if c > RESPONSE_CAP:
+                raise ValueError(
+                    f"{flow.name}: zero-load latency must be <= 2**60 "
+                    f"cycles, got C={c}"
+                )
         vc_count = self.platform.vc_count
         networked = sum(1 for f in self._flows if not f.is_local)
         if vc_count is not None and networked > vc_count:

@@ -53,7 +53,7 @@ class SimTables:
     __slots__ = (
         "num_flows", "num_links", "priority_of", "is_local", "flow_names",
         "first_link", "next_of", "route_slots", "capacity", "buffered",
-        "ejection", "credit_template", "routes", "cext",
+        "ejection", "credit_template", "routes", "min_depth", "cext",
     )
 
     def __init__(self, flowset: FlowSet):
@@ -88,6 +88,16 @@ class SimTables:
                 slot = here * nf + index
                 self.next_of[slot] = nxt
                 self.route_slots.append(slot)
+        #: smallest buffered depth on each flow's route (0 for local
+        #: flows): the simulator's lone-packet test compares it once per
+        #: flow and run.
+        self.min_depth = [
+            min(
+                (self.capacity[link] for link in route if self.buffered[link]),
+                default=0,
+            )
+            for route in self.routes
+        ]
 
         #: per-slot initial credit = downstream buffer depth of the link.
         template = [0] * (nl * nf)

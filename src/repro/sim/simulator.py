@@ -6,7 +6,17 @@ Each cycle has strict phases:
    the downstream buffer, or the destination sink, at ``t + linkl``) and
    delayed credit returns;
 2. apply packet releases due this cycle (local flows deliver immediately
-   — they never enter the network);
+   — they never enter the network).  A *lone packet* crosses in one
+   step: when it is the only release due, the network is idle (no flit
+   in place, no event pending) and every buffered link on its route has
+   ``depth·linkl ≥ linkl + routl + credit_delay`` (so no credit ever
+   throttles it), flit ``m`` leaves hop ``k`` at ``t0 + k·(linkl +
+   routl) + m·linkl``; the tail reaches the sink at ``t0 + C_i``
+   (Equation 1) and the last credit is back by ``t0 + C_i +
+   max(0, credit_delay − linkl)``.  If that is no later than the next
+   release and ``drain_limit``, the whole transit is applied at once and
+   the clock moves straight to the next release.  Tracers, ``debug=True``
+   and ``credit_delay == 0`` always take the cycle loop;
 3. collect, per output link, the VCs whose head flit is ready (header
    routed, i.e. ``routl`` elapsed since arrival) and wants that link;
 4. arbitrate every requested, non-busy link: the highest-priority
@@ -49,6 +59,21 @@ from repro.sim.packet import Flit, Packet
 from repro.sim.traffic import ReleasePlan
 
 _NEVER = float("inf")
+
+
+def _cross_idle(packet, route, step, linkl, busy_until, flits_per_link):
+    """Apply a lone packet's whole transit of an idle network at once.
+
+    Flit ``m`` leaves hop ``k`` at ``t0 + k·step + m·linkl`` (``step =
+    linkl + routl``), so hop ``k``'s link carries all ``L`` flits and is
+    busy until ``t0 + k·step + L·linkl``.
+    """
+    length = packet.length
+    free = packet.release_time + length * linkl
+    for link in route:
+        busy_until[link] = free
+        flits_per_link[link] += length
+        free += step
 
 
 @dataclass
@@ -260,6 +285,20 @@ class WormholeSimulator:
         flits_in_network = 0
         now = 0
 
+        # Lone-packet jump (module docstring, phase 2): flows whose every
+        # buffered route link is deep enough that a packet travelling
+        # alone never waits for a credit.  Observation hooks that see
+        # each send, debug invariants and in-cycle credit returns keep
+        # the cycle loop.
+        lone = None
+        if tracer is None and not debug and credit_delay >= 1:
+            need = linkl + routl + credit_delay
+            lone = [depth * linkl >= need for depth in tables.min_depth]
+        routes = tables.routes
+        step = linkl + routl
+        tail_credit = max(0, credit_delay - linkl)
+        cross_idle = _cross_idle
+
         _BIG = 1 << 60
 
         def _discovery_key(entry: tuple[int, list[int]]) -> int:
@@ -330,7 +369,39 @@ class WormholeSimulator:
             while wake_q and wake_q[0] <= now:
                 wake_q.popleft()
 
-            # Phase 2: releases due now.
+            # Phase 2: releases due now, a lone packet in one step.
+            if (
+                flits_in_network == 0
+                and lone is not None
+                and release_ptr < num_releases
+                and not source_active
+                and not arrive_q
+                and not credit_q
+                and not wake_q
+            ):
+                packet = pending[release_ptr]
+                flow = packet.flow_index
+                if lone[flow] and packet.release_time <= now:
+                    route = routes[flow]
+                    arrival = (
+                        now + (len(route) - 1) * step + packet.length * linkl
+                    )
+                    last = arrival + tail_credit
+                    after = release_ptr + 1
+                    nxt = (
+                        pending[after].release_time
+                        if after < num_releases else last
+                    )
+                    if last <= nxt and last <= drain_limit:
+                        release_ptr = after
+                        cross_idle(
+                            packet, route, step, linkl, busy_until,
+                            flits_per_link,
+                        )
+                        delivered[flow] += packet.length
+                        on_delivery(names[flow], packet, arrival)
+                        now = nxt
+                        continue
             while (
                 release_ptr < num_releases
                 and pending[release_ptr].release_time <= now

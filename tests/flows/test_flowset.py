@@ -64,6 +64,16 @@ class TestConstruction:
         ]
         FlowSet(platform, flows)  # must not raise
 
+    def test_zero_load_latency_bounded_at_response_cap(self):
+        """C = 2**60 is accepted and one cycle more is rejected, so the
+        batch engine's int64 columns always hold it."""
+        platform = NoCPlatform(Mesh2D(2, 2), buf=2)
+        at_cap = 2**60 - len(platform.route(0, 3)) + 1  # C = |route| + L - 1
+        fs = FlowSet(platform, [Flow("hi", 1, 100, at_cap, src=0, dst=3)])
+        assert fs.c("hi") == 2**60
+        with pytest.raises(ValueError, match=r"hi: zero-load .* 2\*\*60"):
+            FlowSet(platform, [Flow("hi", 1, 100, at_cap + 1, src=0, dst=3)])
+
 
 class TestDerivedData:
     def test_c_matches_equation_one(self, platform4x4):

@@ -182,6 +182,32 @@ class TestRunawayRecurrences:
         assert err.value.status == 400
         assert "2**60" in err.value.message
 
+    @pytest.mark.parametrize("path", ["/analyze", "/analyze/batch"])
+    def test_zero_load_latency_beyond_the_limit_is_400(self, client, path):
+        """A flow whose C passes 2**60 is a client error on both
+        endpoints (the batch one used to answer 500)."""
+        from repro.flows.flow import Flow
+        from repro.flows.flowset import FlowSet
+        from repro.io import flowset_to_dict
+        from repro.noc.platform import NoCPlatform
+        from repro.noc.topology import Mesh2D
+
+        doc = flowset_to_dict(FlowSet(
+            NoCPlatform(Mesh2D(2, 2), buf=2),
+            [Flow("hi", 1, 100, 5, src=0, dst=3),
+             Flow("lo", 2, 400, 8, src=1, dst=2)],
+        ))
+        for flow in doc["flows"]:
+            if flow["name"] == "hi":
+                flow["length"] = 2**63
+        body = {"flowset": doc}
+        if path == "/analyze/batch":
+            body = {"requests": [body]}
+        with pytest.raises(ServeError) as err:
+            client.request("POST", path, body)
+        assert err.value.status == 400
+        assert "hi" in err.value.message and "2**60" in err.value.message
+
 
 class TestSizing:
     def test_didactic_headroom(self, client, flowset):
